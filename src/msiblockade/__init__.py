@@ -65,5 +65,5 @@ from .semiclassical import (
     nonlinear_coefficient,
     reduced_fixed_point,
 )
-from .sweep import AxisSpec, SweepSpec, SweepResult, parse_config, run_sweep, serialize
+from .sweep import AxisSpec, SweepSpec, SweepResult, evaluate_point, parse_config, run_sweep, serialize
 from .figures import FIGURE_IDS, reproduce

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``g2`` (single-point evaluation across tiers), ``sweep``
-(config-driven grid), ``reproduce`` (figure presets), ``check`` (invariant
-suite). ``--threads`` bounds parallelism for grid work.
+Subcommands: ``g2`` (single-point evaluation across tiers, through
+``sweep.evaluate_point``, the same code every sweep row comes from),
+``sweep`` (config-driven grid), ``reproduce`` (figure presets), ``check``
+(invariant suite). ``--threads`` bounds parallelism for grid work.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import click
 from . import __version__
 from .figures import FIGURE_IDS, reproduce as reproduce_figure
 from .sweep import (
-    AxisSpec,
-    ConfigError,
-    SweepSpec,
     TIERS,
-    _evaluate_point,
+    TRUNC_FULL,
+    ConfigError,
+    _tier_liouvillian,
+    evaluate_point,
     parse_config,
     run_sweep,
 )
@@ -59,17 +60,11 @@ def _param_options(fn):
 def g2(ctx, tiers, j, **params):
     """Evaluate g2(0) and occupations at a single parameter point."""
     tier_list = tuple(t.strip() for t in tiers.split(",") if t.strip())
-    for t in tier_list:
-        if t not in TIERS:
-            raise click.BadParameter(f"unknown tier {t!r}; valid: {', '.join(TIERS)}")
-    p = SystemParams(J=j, **params)
-    spec = SweepSpec(
-        axes=(AxisSpec("delta_c", p.delta_c, p.delta_c + 1.0, 2),),  # dummy axis, evaluated directly
-        fixed=p,
-        tiers=tier_list,
-    )
-    rows = _evaluate_point(spec, (p.delta_c,))
-    width = max(len(t) for t in tier_list)
+    try:
+        rows = evaluate_point(SystemParams(J=j, **params), tier_list)
+    except ConfigError as exc:
+        raise click.BadParameter(f"{exc}; valid: {', '.join(TIERS)}") from exc
+    width = max(len(r.tier) for r in rows)
     for r in rows:
         def s(v):
             return "-" if v is None or (isinstance(v, float) and not math.isfinite(v)) else f"{v:.6e}"
@@ -151,16 +146,11 @@ def _check_identities():
 
 
 def _check_liouvillian():
-    from .fock import make_space
-    from .liouvillian import build_liouvillian, steady_state
-    from .model import build_collapse_ops, build_full_hamiltonian
+    from .liouvillian import steady_state
 
     p = SystemParams(J=2.0e5, delta_c=-2.0e5, delta_e=-2.0e5, g_omega=200.0,
                      g_kappa=500.0, eps_c=5.0e3, eps_e=5.0e3, gamma=100.0, n_th=0.0)
-    space = make_space((4, 4, 8))
-    H = build_full_hamiltonian(p, space)
-    ops = build_collapse_ops(p, space, "displacement_modified")
-    res = steady_state(build_liouvillian(H, ops))
+    res = steady_state(_tier_liouvillian(p, TRUNC_FULL, full=True))
     st = res.state
     assert abs(st.trace() - 1.0) < 1e-10
     assert st.hermiticity_defect() < 1e-10
@@ -171,16 +161,13 @@ def _check_liouvillian():
 def _check_evolution():
     import numpy as np
 
-    from .fock import make_space
-    from .liouvillian import build_liouvillian, evolve, steady_state, vacuum_state
-    from .model import build_collapse_ops, build_effective_hamiltonian
+    from .liouvillian import evolve, steady_state, vacuum_state
 
     p = SystemParams(J=2.0e5, delta_c=-1.0e5, delta_e=-1.0e5, g_omega=200.0,
                      g_kappa=500.0, eps_c=5.0e3, eps_e=5.0e3)
-    space = make_space((4, 4))
-    L = build_liouvillian(build_effective_hamiltonian(p, space), build_collapse_ops(p, space))
+    L = _tier_liouvillian(p, (4, 4), full=False)
     ss = steady_state(L).state
-    traj = evolve(vacuum_state(space), L, [30.0 / p.kappa_c])
+    traj = evolve(vacuum_state(L.space), L, [30.0 / p.kappa_c])
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(traj[-1].matrix - ss.matrix)))
     assert dist < 1e-6, f"trace distance {dist}"
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import effective_noise
-from .fock import make_space
-from .liouvillian import build_liouvillian, convergence_scan
-from .model import SystemParams, build_collapse_ops, build_effective_hamiltonian
-from .sweep import AxisSpec, SweepResult, SweepSpec, _fmt, run_sweep
+from .liouvillian import convergence_scan
+from .model import SystemParams
+from .sweep import TRUNC_EFFECTIVE, AxisSpec, SweepSpec, _fmt, _tier_liouvillian, run_sweep
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
@@ -49,7 +48,7 @@ class PanelFiles:
     csv_path: str
 
 
-def _gate_master_effective(params_list, trunc=(6, 6)) -> None:
+def _gate_master_effective(params_list, trunc=TRUNC_EFFECTIVE) -> None:
     """Check g2 stability under doubled truncation at probe points.
 
     Probing the full grid at doubled truncation would defeat the point of
@@ -62,13 +61,7 @@ def _gate_master_effective(params_list, trunc=(6, 6)) -> None:
     """
     doubled = tuple(2 * t for t in trunc)
     for p in params_list:
-        def build(levels):
-            space = make_space(levels)
-            H = build_effective_hamiltonian(p, space)
-            ops = build_collapse_ops(p, space, "standard")
-            return build_liouvillian(H, ops, "sandwich")
-
-        lo, hi = convergence_scan(build, [trunc, doubled])
+        lo, hi = convergence_scan(lambda levels: _tier_liouvillian(p, levels, full=False), [trunc, doubled])
         for mode, g2_lo, g2_hi, n in (
             ("c", lo.g2_c, hi.g2_c, max(lo.n_c, hi.n_c)),
             ("e", lo.g2_e, hi.g2_e, max(lo.n_e, hi.n_e)),
@@ -79,23 +72,6 @@ def _gate_master_effective(params_list, trunc=(6, 6)) -> None:
                     f"truncation gate failed at {p}: doubling {trunc} moves g2_{mode} "
                     f"from {g2_lo:.6e} to {g2_hi:.6e} (tolerance {tol:.2e})"
                 )
-
-
-def _write_result_csv(result: SweepResult, path: str, log_cols=()) -> None:
-    """Sweep CSV with optional derived log10 columns appended."""
-    header = [ax.name for ax in result.spec.axes] + [
-        "tier", "g2_c", "g2_e", "n_c", "n_e", "status", "residual",
-    ] + [f"log10_{c}" for c in log_cols]
-    lines = [",".join(header)]
-    for r in result.rows:
-        cells = [_fmt(v) for v in r.axis_values]
-        cells += [r.tier, _fmt(r.g2_c), _fmt(r.g2_e), _fmt(r.n_c), _fmt(r.n_e), r.status, _fmt(r.residual)]
-        for c in log_cols:
-            v = getattr(r, c)
-            cells.append(_fmt(math.log10(v)) if v is not None and v > 0 else "")
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -143,7 +119,7 @@ def _fig3(out_dir: str, threads: int) -> list[PanelFiles]:
     )
     result = run_sweep(spec, threads)
     path = os.path.join(out_dir, "fig3_detuning.csv")
-    _write_result_csv(result, path, log_cols=("g2_c", "g2_e"))
+    result.write_csv(path, log_cols=("g2_c", "g2_e"))
     return [PanelFiles("detuning", path)]
 
 
@@ -166,7 +142,7 @@ def _fig45(out_dir: str, threads: int, fig: str) -> list[PanelFiles]:
         )
         result = run_sweep(spec, threads)
         path = os.path.join(out_dir, f"{fig}_gk{int(gk)}.csv")
-        _write_result_csv(result, path, log_cols=(log_col,))
+        result.write_csv(path, log_cols=(log_col,))
         panels.append(PanelFiles(f"gk{int(gk)}", path))
     return panels
 
@@ -191,7 +167,7 @@ def _fig6(out_dir: str, threads: int) -> list[PanelFiles]:
     _gate_master_effective(probes, spec.trunc_effective)
     result = run_sweep(spec, threads)
     path = os.path.join(out_dir, "fig6_couplings.csv")
-    _write_result_csv(result, path, log_cols=("g2_c", "g2_e"))
+    result.write_csv(path, log_cols=("g2_c", "g2_e"))
     return [PanelFiles("couplings", path)]
 
 
@@ -212,7 +188,7 @@ def _fig7(out_dir: str, threads: int) -> list[PanelFiles]:
         _gate_master_effective(probes, spec.trunc_effective)
         result = run_sweep(spec, threads)
         path = os.path.join(out_dir, f"fig7_gk{int(gk)}.csv")
-        _write_result_csv(result, path, log_cols=("g2_c", "g2_e"))
+        result.write_csv(path, log_cols=("g2_c", "g2_e"))
         panels.append(PanelFiles(f"gk{int(gk)}", path))
     return panels
 
@@ -233,7 +209,7 @@ def _fig8(out_dir: str, threads: int) -> list[PanelFiles]:
     )
     result = run_sweep(spec, threads)
     path = os.path.join(out_dir, "fig8_j_delta.csv")
-    _write_result_csv(result, path, log_cols=("g2_c", "g2_e"))
+    result.write_csv(path, log_cols=("g2_c", "g2_e"))
     return [PanelFiles("j_delta", path)]
 
 

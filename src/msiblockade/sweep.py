@@ -1,20 +1,24 @@
-"""Parameter-sweep engine: config parsing, grid execution, CSV output.
+"""Parameter-sweep engine: point evaluation, configs, grid execution, CSV output.
 
 A sweep is one or two axes over SystemParams fields (plus the compound
 aliases ``delta``, ``kappa``, ``eps`` that move both cavities together),
-evaluated on any subset of the four model tiers. Row order is row-major
-over the axes and fixed regardless of execution parallelism; CSV floats
+evaluated on any subset of the four model tiers. ``evaluate_point`` is the
+one place a parameter point is evaluated: ``run_sweep`` calls it for every
+grid point, and the ``g2`` command for its single point. Row order is
+row-major over the axes, tiers in ``TIERS`` order, fixed regardless of
+execution parallelism. ``SweepResult.to_csv`` is the one sweep CSV format
+(the figure presets append derived ``log10_*`` columns through it); floats
 use shortest round-trip formatting so identical specs give byte-identical
 files.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -27,6 +31,11 @@ from .semiclassical import reduced_fixed_point
 
 TIERS = ("analytic", "master_effective", "master_full", "semiclassical")
 
+# default Fock truncations: levels per cavity (effective model), and
+# cavity, cavity, mechanics (full model)
+TRUNC_EFFECTIVE = (6, 6)
+TRUNC_FULL = (4, 4, 8)
+
 # compound axis names that sweep both cavities at once
 AXIS_ALIASES = {
     "delta": ("delta_c", "delta_e"),
@@ -35,7 +44,7 @@ AXIS_ALIASES = {
 }
 
 PARAM_FIELDS = tuple(
-    f.name for f in dataclasses.fields(SystemParams) if f.name not in ("n_th", "t_bath")
+    f.name for f in fields(SystemParams) if f.name not in ("n_th", "t_bath")
 )
 AXIS_NAMES = PARAM_FIELDS + tuple(AXIS_ALIASES)
 
@@ -44,10 +53,20 @@ class ConfigError(ValueError):
     """A sweep configuration failed validation."""
 
 
-def _suggest(key: str, valid) -> str:
+def _suggest(key: str, valid, kind: str = "key") -> str:
     close = difflib.get_close_matches(key, list(valid), n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
-    return f"unknown key {key!r}{hint}"
+    return f"unknown {kind} {key!r}{hint}"
+
+
+def _canonical_tiers(tiers) -> tuple[str, ...]:
+    """The requested tiers, validated, deduplicated and in TIERS order."""
+    for t in tiers:
+        if t not in TIERS:
+            raise ConfigError(_suggest(str(t), TIERS, "tier"))
+    if not tiers:
+        raise ConfigError("need at least one tier")
+    return tuple(t for t in TIERS if t in tiers)
 
 
 @dataclass(frozen=True)
@@ -83,28 +102,23 @@ class SweepSpec:
     axes: tuple[AxisSpec, ...]
     fixed: SystemParams = SystemParams()
     tiers: tuple[str, ...] = ("analytic",)
-    trunc_effective: tuple[int, int] = (6, 6)
-    trunc_full: tuple[int, int, int] = (4, 4, 8)
+    trunc_effective: tuple[int, int] = TRUNC_EFFECTIVE
+    trunc_full: tuple[int, int, int] = TRUNC_FULL
     output: str | None = None
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ConfigError(f"need 1 or 2 axes, got {len(self.axes)}")
-        for t in self.tiers:
-            if t not in TIERS:
-                raise ConfigError(_suggest(t, TIERS))
-        if not self.tiers:
-            raise ConfigError("need at least one tier")
+        # rows come out in TIERS order, so the spec states them that way too
+        object.__setattr__(self, "tiers", _canonical_tiers(self.tiers))
+        if len(self.trunc_effective) != 2:
+            raise ConfigError(f"truncations.effective needs exactly 2 mode levels, got {self.trunc_effective}")
+        if len(self.trunc_full) != 3:
+            raise ConfigError(f"truncations.full needs exactly 3 mode levels, got {self.trunc_full}")
 
     def grid(self):
-        """Row-major iteration over the axis product."""
-        if len(self.axes) == 1:
-            for v in self.axes[0].values():
-                yield (float(v),)
-        else:
-            for v1 in self.axes[0].values():
-                for v2 in self.axes[1].values():
-                    yield (float(v1), float(v2))
+        """Row-major iteration over the axis product, as tuples of floats."""
+        return itertools.product(*(ax.values().tolist() for ax in self.axes))
 
     def point_params(self, values) -> SystemParams:
         updates = {}
@@ -130,20 +144,24 @@ class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
 
-    def to_csv(self) -> str:
+    def to_csv(self, log_cols=()) -> str:
+        """CSV text; each name in ``log_cols`` (a numeric row field such as
+        ``g2_c``) appends a derived ``log10_<name>`` column, empty where the
+        value is missing or not positive."""
         header = [ax.name for ax in self.spec.axes] + [
             "tier", "g2_c", "g2_e", "n_c", "n_e", "status", "residual",
-        ]
+        ] + [f"log10_{c}" for c in log_cols]
         lines = [",".join(header)]
         for r in self.rows:
             cells = [_fmt(v) for v in r.axis_values]
             cells += [r.tier, _fmt(r.g2_c), _fmt(r.g2_e), _fmt(r.n_c), _fmt(r.n_e), r.status, _fmt(r.residual)]
+            cells += [_fmt_log10(getattr(r, c)) for c in log_cols]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, log_cols=()) -> None:
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
+            fh.write(self.to_csv(log_cols))
 
     def tier_rows(self, tier: str) -> list[SweepRow]:
         return [r for r in self.rows if r.tier == tier]
@@ -163,10 +181,28 @@ def _fmt(v) -> str:
     return repr(v)
 
 
+def _fmt_log10(v) -> str:
+    return _fmt(math.log10(v)) if v is not None and v > 0 else ""
+
+
 # -- per-point tier evaluation ---------------------------------------------
+#
+# Each _eval_* returns the row cells (g2_c, g2_e, n_c, n_e, status, residual).
 
 
-def _eval_analytic(p: SystemParams) -> SweepRow:
+def _tier_liouvillian(p: SystemParams, trunc, full: bool):
+    """The effective (two-mode) or full (three-mode) model's Liouvillian."""
+    space = make_space(trunc)
+    if full:
+        H = build_full_hamiltonian(p, space)
+        ops = build_collapse_ops(p, space, "displacement_modified")
+    else:
+        H = build_effective_hamiltonian(p, space)
+        ops = build_collapse_ops(p, space, "standard")
+    return build_liouvillian(H, ops, "sandwich")
+
+
+def _eval_analytic(p: SystemParams) -> tuple:
     res = g2_analytic(p)
     status_parts = []
     if res.status_c.value != "ok":
@@ -183,56 +219,54 @@ def _eval_analytic(p: SystemParams) -> SweepRow:
     status = ";".join(status_parts) if status_parts else "ok"
     g2_c = res.g2_c if math.isfinite(res.g2_c) else None
     g2_e = res.g2_e if math.isfinite(res.g2_e) else None
-    return SweepRow((), "analytic", g2_c, g2_e, n_c, n_e, status, None)
+    return g2_c, g2_e, n_c, n_e, status, None
 
 
-def _eval_master(p: SystemParams, trunc, full: bool) -> SweepRow:
-    tier = "master_full" if full else "master_effective"
-    space = make_space(trunc)
-    if full:
-        H = build_full_hamiltonian(p, space)
-        ops = build_collapse_ops(p, space, "displacement_modified")
-    else:
-        H = build_effective_hamiltonian(p, space)
-        ops = build_collapse_ops(p, space, "standard")
-    res = steady_state(build_liouvillian(H, ops, "sandwich"))
+def _eval_master(p: SystemParams, trunc, full: bool) -> tuple:
+    res = steady_state(_tier_liouvillian(p, trunc, full))
     n_c, g2_c = mode_statistics(res.state, 0)
     n_e, g2_e = mode_statistics(res.state, 1)
     status = "ok" if not res.notes else ";".join(res.notes)
     g2_c = g2_c if math.isfinite(g2_c) else None
     g2_e = g2_e if math.isfinite(g2_e) else None
-    return SweepRow((), tier, g2_c, g2_e, n_c, n_e, status, res.residual)
+    return g2_c, g2_e, n_c, n_e, status, res.residual
 
 
-def _eval_semiclassical(p: SystemParams) -> SweepRow:
+def _eval_semiclassical(p: SystemParams) -> tuple:
     ac, ae, ok = reduced_fixed_point(p)
     status = "ok" if ok else "no_convergence"
-    return SweepRow((), "semiclassical", None, None, abs(ac) ** 2, abs(ae) ** 2, status, None)
+    return None, None, abs(ac) ** 2, abs(ae) ** 2, status, None
 
 
-def _evaluate_point(spec: SweepSpec, values) -> list[SweepRow]:
-    p = spec.point_params(values)
+def evaluate_point(
+    p: SystemParams,
+    tiers,
+    trunc_effective=TRUNC_EFFECTIVE,
+    trunc_full=TRUNC_FULL,
+    axis_values=(),
+) -> list[SweepRow]:
+    """One row per requested tier at parameter point ``p``, in TIERS order.
+
+    An unknown or empty ``tiers`` raises :class:`ConfigError`. A tier that
+    fails at this point is not fatal: its row carries empty cells and an
+    ``error:<type>:<message>`` status. ``axis_values`` labels the rows with
+    the point's grid coordinates.
+    """
     rows = []
-    for tier in TIERS:
-        if tier not in spec.tiers:
-            continue
+    for tier in _canonical_tiers(tiers):
         try:
             if tier == "analytic":
-                row = _eval_analytic(p)
+                cells = _eval_analytic(p)
             elif tier == "master_effective":
-                row = _eval_master(p, spec.trunc_effective, full=False)
+                cells = _eval_master(p, trunc_effective, full=False)
             elif tier == "master_full":
-                row = _eval_master(p, spec.trunc_full, full=True)
+                cells = _eval_master(p, trunc_full, full=True)
             else:
-                row = _eval_semiclassical(p)
+                cells = _eval_semiclassical(p)
         except Exception as exc:  # per-point failures are recorded, never fatal
-            row = SweepRow((), tier, None, None, None, None, f"error:{type(exc).__name__}:{exc}", None)
-        rows.append(dataclasses.replace(row, axis_values=tuple(values)))
+            cells = (None, None, None, None, f"error:{type(exc).__name__}:{exc}", None)
+        rows.append(SweepRow(tuple(axis_values), tier, *cells))
     return rows
-
-
-def _eval_star(args):
-    return _evaluate_point(*args)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
@@ -242,12 +276,19 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     pool, but rows are aggregated in fixed row-major grid order either way.
     """
     points = list(spec.grid())
+    args = (
+        map(spec.point_params, points),
+        itertools.repeat(spec.tiers),
+        itertools.repeat(spec.trunc_effective),
+        itertools.repeat(spec.trunc_full),
+        points,
+    )
     if threads > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, len(points) // (8 * threads))
-            per_point = list(pool.map(_eval_star, [(spec, v) for v in points], chunksize=chunk))
+            per_point = list(pool.map(evaluate_point, *args, chunksize=chunk))
     else:
-        per_point = [_evaluate_point(spec, v) for v in points]
+        per_point = map(evaluate_point, *args)
     rows = tuple(row for rows in per_point for row in rows)
     return SweepResult(spec, rows)
 
@@ -307,31 +348,19 @@ def parse_config(text: str) -> SweepSpec:
     _check_keys(fixed_raw, PARAM_FIELDS + ("n_th", "t_bath"), "fixed")
     fixed = SystemParams(**{k: float(v) for k, v in fixed_raw.items()})
 
-    tiers_raw = raw.get("tiers", ["analytic"])
-    if not isinstance(tiers_raw, list):
+    tiers = raw.get("tiers", ["analytic"])
+    if not isinstance(tiers, list):
         raise ConfigError("tiers must be a list")
-    for t in tiers_raw:
-        if t not in TIERS:
-            raise ConfigError("in tiers: " + _suggest(str(t), TIERS))
-    # canonical tier order regardless of config order
-    tiers = tuple(t for t in TIERS if t in tiers_raw)
 
     trunc_raw = raw.get("truncations", {}) or {}
     _check_keys(trunc_raw, _TRUNC_KEYS, "truncations")
-    trunc_eff = tuple(int(x) for x in trunc_raw.get("effective", (6, 6)))
-    trunc_full = tuple(int(x) for x in trunc_raw.get("full", (4, 4, 8)))
-    if len(trunc_eff) != 2:
-        raise ConfigError("truncations.effective needs exactly 2 mode levels")
-    if len(trunc_full) != 3:
-        raise ConfigError("truncations.full needs exactly 3 mode levels")
-
     output = raw.get("output")
     return SweepSpec(
         axes=tuple(axes),
         fixed=fixed,
-        tiers=tiers,
-        trunc_effective=trunc_eff,
-        trunc_full=trunc_full,
+        tiers=tuple(tiers),
+        trunc_effective=tuple(int(x) for x in trunc_raw.get("effective", TRUNC_EFFECTIVE)),
+        trunc_full=tuple(int(x) for x in trunc_raw.get("full", TRUNC_FULL)),
         output=str(output) if output is not None else None,
     )
 

@@ -1,6 +1,7 @@
 """Figure presets (CSV + plot script + PNG) and the click CLI."""
 
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,7 @@ from msiblockade.figures import (
     reproduce,
 )
 from msiblockade.model import SystemParams
+from msiblockade.sweep import evaluate_point
 
 
 class TestPresets:
@@ -84,6 +86,25 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "analytic" in result.output
         assert "g2_c=" in result.output and "status=ok" in result.output
+
+    def test_g2_prints_evaluate_point_values(self):
+        p = SystemParams(g_omega=200.0, g_kappa=500.0, J=2.0e5,
+                         delta_c=-1.0e5, delta_e=-0.5e5, eps_c=5.0e3, eps_e=5.0e3)
+        result = self.runner.invoke(main, [
+            "g2", "--delta-c", "-1e5", "--delta-e", "-0.5e5",
+            "--g-omega", "200", "--g-kappa", "500", "--j", "2e5",
+            "--eps-c", "5e3", "--eps-e", "5e3", "--tiers", "master_effective,analytic",
+        ])
+        assert result.exit_code == 0, result.output
+        printed = result.output.strip().split("\n")
+        rows = evaluate_point(p, ("analytic", "master_effective"))
+        assert len(printed) == len(rows) == 2
+        for line, row in zip(printed, rows):
+            assert line.split()[0] == row.tier
+            fields = dict(re.findall(r"(\w+)=\s*(\S+)", line))
+            assert fields["status"] == row.status == "ok"
+            for name in ("g2_c", "g2_e", "n_c", "n_e"):
+                assert float(fields[name]) == float(f"{getattr(row, name):.6e}")
 
     def test_g2_rejects_unknown_tier(self):
         result = self.runner.invoke(main, ["g2", "--tiers", "analytc"])

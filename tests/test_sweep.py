@@ -1,6 +1,8 @@
 """Sweep configuration, grid execution, CSV determinism."""
 
+import math
 import textwrap
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from msiblockade.model import SystemParams
 from msiblockade.sweep import (
     AxisSpec,
     ConfigError,
+    SweepResult,
+    SweepRow,
     SweepSpec,
+    evaluate_point,
     parse_config,
     run_sweep,
     serialize,
@@ -125,6 +130,41 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("axes: [unclosed\n  - ]broken")
 
+    def test_truncation_lengths_checked(self):
+        with pytest.raises(ConfigError, match="truncations.effective"):
+            parse_config(MINIMAL + "truncations:\n  effective: [2, 2, 2]\n")
+        with pytest.raises(ConfigError, match="truncations.full"):
+            parse_config(MINIMAL + "truncations:\n  full: [2, 2]\n")
+
+
+class TestSweepSpec:
+    AXES = (AxisSpec("delta", -1.0e5, 1.0e5, 2),)
+
+    def test_truncation_lengths_checked_on_direct_spec(self):
+        # a wrong length must fail at construction, not as one error row per point
+        with pytest.raises(ConfigError, match="truncations.effective needs exactly 2"):
+            SweepSpec(axes=self.AXES, tiers=("master_effective",), trunc_effective=(2, 2, 2))
+        with pytest.raises(ConfigError, match="truncations.full needs exactly 3"):
+            SweepSpec(axes=self.AXES, tiers=("master_full",), trunc_full=(2, 2))
+
+    def test_tiers_stored_canonical_and_match_row_order(self):
+        spec = SweepSpec(
+            axes=self.AXES,
+            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=2.0e5, eps_c=5e3, eps_e=5e3),
+            tiers=("semiclassical", "analytic", "semiclassical"),
+        )
+        assert spec.tiers == ("analytic", "semiclassical")
+        rows = run_sweep(spec).rows
+        assert [r.tier for r in rows] == list(spec.tiers) * 2
+
+    def test_unknown_or_empty_tiers_rejected(self):
+        with pytest.raises(ConfigError, match="unknown tier 'analytc' \\(did you mean 'analytic'"):
+            SweepSpec(axes=self.AXES, tiers=("analytic", "analytc"))
+        with pytest.raises(ConfigError, match="at least one tier"):
+            SweepSpec(axes=self.AXES, tiers=())
+        with pytest.raises(ConfigError, match="unknown tier 'master_efective'"):
+            evaluate_point(SystemParams(), ("analytic", "master_efective"))
+
 
 class TestRunSweep:
     def test_analytic_three_rows(self):
@@ -184,6 +224,58 @@ class TestRunSweep:
         # the delta = -J row hits the g2_e bunching pole -> empty cell + status
         pole_line = [l for l in lines if "pole_JplusDeltaC" in l]
         assert pole_line and ",," in pole_line[0]
+
+    def test_csv_log10_columns(self, tmp_path):
+        # delta = -J: g2_e on its pole (None); delta = 0: blockade, g2_c = 0
+        spec = SweepSpec(
+            axes=(AxisSpec("delta", -2.0e5, 0.0, 3),),
+            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=2.0e5, eps_c=5e3, eps_e=5e3),
+        )
+        result = run_sweep(spec)
+        assert [(r.g2_c, r.g2_e) for r in (result.rows[0], result.rows[2])] == [(0.0, None), (0.0, 4.0)]
+        lines = result.to_csv(log_cols=("g2_c", "g2_e")).strip().split("\n")
+        header = lines[0].split(",")
+        assert header == "delta,tier,g2_c,g2_e,n_c,n_e,status,residual,log10_g2_c,log10_g2_e".split(",")
+        for row, line in zip(result.rows, lines[1:]):
+            cells = dict(zip(header, line.split(",")))
+            for col in ("g2_c", "g2_e"):
+                v = getattr(row, col)
+                if v is None or v <= 0:
+                    assert cells[f"log10_{col}"] == ""
+                else:
+                    assert cells[f"log10_{col}"] == repr(math.log10(v))
+                    assert float(cells[f"log10_{col}"]) == math.log10(v)
+        assert lines[1].endswith(",,")  # g2_c = 0 and g2_e on its pole
+        assert lines[3].endswith(",," + repr(math.log10(4.0)))
+        path = tmp_path / "out.csv"
+        result.write_csv(path, log_cols=("g2_c", "g2_e"))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_csv_log10_empty_for_negative_value(self):
+        spec = SweepSpec(axes=(AxisSpec("delta", 0.0, 1.0, 2),), tiers=("master_effective",))
+        rows = (
+            SweepRow((0.0,), "master_effective", -1.0e-3, 100.0, 1e-3, 1e-3, "ok", 1e-15),
+            SweepRow((1.0,), "master_effective", 2.5, None, 1e-3, None, "ok", 1e-15),
+        )
+        lines = SweepResult(spec, rows).to_csv(log_cols=("g2_c", "g2_e", "n_c")).split("\n")
+        assert lines[1].endswith(",,2.0,-3.0")
+        assert lines[2].endswith("," + repr(math.log10(2.5)) + ",,-3.0")
+
+    def test_evaluate_point_matches_sweep_row(self):
+        spec = SweepSpec(
+            axes=(AxisSpec("delta", -1.5e5, -0.5e5, 3),),
+            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=2.0e5, eps_c=5e3, eps_e=5e3),
+            tiers=("analytic", "master_effective"),
+            trunc_effective=(4, 4),
+        )
+        result = run_sweep(spec)
+        values = list(spec.grid())[1]
+        swept = [r for r in result.rows if r.axis_values == values]
+        direct = evaluate_point(spec.point_params(values), ("master_effective", "analytic"), trunc_effective=(4, 4))
+        assert [r.tier for r in direct] == ["analytic", "master_effective"]
+        assert [r.axis_values for r in direct] == [(), ()]
+        assert [astuple(r)[1:] for r in direct] == [astuple(r)[1:] for r in swept]
+        assert direct[1].status == "ok" and direct[1].g2_c is not None
 
     def test_determinism_byte_identical(self):
         spec = parse_config(FULL)
