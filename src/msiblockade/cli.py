@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from . import __version__
+from . import __version__, blas
 from .figures import FIGURE_IDS, reproduce as reproduce_figure
 from .sweep import (
     TIERS,
@@ -116,7 +116,13 @@ def reproduce_cmd(ctx, figid, out_dir, no_render):
 @main.command()
 @click.pass_context
 def check(ctx):
-    """Run the built-in invariant suite (fast subset of the test suite)."""
+    """Run the built-in invariant suite (fast subset of the test suite).
+
+    First prints the OpenBLAS libraries the steady-state solver's one-thread
+    budget acts on, with their current thread counts, or "none found".
+    """
+    found = ", ".join(f"{lib.name} ({lib.get_num_threads()} threads)" for lib in blas.libraries())
+    click.echo(f"blas: {found or 'none found'}")
     failures = []
 
     def step(name, fn):

@@ -4,9 +4,15 @@ Column-stacking convention throughout: vec(A rho B) = (B^T kron A) vec(rho).
 Steady states are solved directly (trace-row replacement + sparse LU) for
 small superoperators; above ``DIRECT_LIMIT`` a matrix-free Krylov method is
 used that never forms the superoperator: the Liouvillian is split into its
-non-Hermitian-evolution part L0 and the jump part, L0 is inverted per
-application through a Schur-factored Sylvester solve, and the steady state
-is recovered as the dominant eigenvector of -L0^{-1} Jump (eigenvalue 1).
+non-Hermitian-evolution part L0 X = A X + X A^H (A = -i H_nh) and the jump
+part sum_k o_k X o_k^H, and the steady state is recovered as the dominant
+eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each application of M
+applies the jumps as sparse (CSR) operators and inverts L0 as a Sylvester
+equation in A's eigenbasis (four dense products), falling back to a
+Schur-factored ``trsyl`` solve when the eigenvectors' condition number
+exceeds ``EIGENBASIS_COND_LIMIT``. The Krylov solve runs with the bundled
+OpenBLAS libraries at one thread (``blas.single_thread``); the caller's
+thread counts are restored when it returns or raises.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs
 
+from . import blas
 from .fock import HilbertSpace, OperatorMatrix, number, annihilation
 
 # superoperator dimension above which steady_state switches to the
@@ -227,6 +234,46 @@ def _steady_direct(L: Superoperator) -> SteadyStateResult:
     return _finish(L.space, devectorize(x, L.space).matrix, L, "direct")
 
 
+# cond(V) of A = V diag(w) V^-1 above which the Krylov solve inverts L0
+# through the Schur form instead of the eigenbasis. The eigenbasis solve's
+# residual grows with cond(V); measured on the effective model at (12,12),
+# kappa 5e3 to 5e4 Hz, Delta = J and J - 1e3: 1.4e-13 at cond(V) = 232,
+# 1.1e-12 at 695, 7e-12 at 1.7e3, 3-4e-11 at 4.7e3 to 1.2e4, and 1.7e-10 at
+# 2.2e4 (kappa = 1e4 Hz, Delta = J - 1e3), above the 1e-10 limit; the Schur
+# solve stays at ~2e-15. Over fig7's kappa (1e-3 to 1e5 Hz), four detunings
+# and three g, cond(V) stays below 120 on master_full at (4,4,8) and is
+# above the limit at 3 % of (12,12) points. At the limit the eigenbasis
+# residual is about 20 times below 1e-10.
+EIGENBASIS_COND_LIMIT = 1e3
+
+
+def _sylvester_inverse(A: np.ndarray):
+    """(solve, branch): solve(C) is the X with A X + X A^H = -C.
+
+    Where A's eigenvectors V are well conditioned, A = V diag(w) V^-1 turns
+    the equation elementwise: X = V [(V^-1 C V^-H) / -(w_i + conj w_j)] V^H,
+    four matrix products per solve. Otherwise A is Schur-factored and each
+    solve is a pair of unitary rotations around LAPACK's triangular trsyl.
+    """
+    w, V = np.linalg.eig(A)
+    if np.linalg.cond(V) <= EIGENBASIS_COND_LIMIT:
+        Vi = np.linalg.inv(V)
+        Vh, Vih = V.conj().T, Vi.conj().T
+        scale = -1.0 / (w[:, None] + w.conj()[None, :])
+        return (lambda C: V @ ((Vi @ C @ Vih) * scale) @ Vh), "eigenbasis"
+    T, Q = sla.schur(A, output="complex")
+    Qh = Q.conj().T
+    (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
+
+    def solve(C):
+        Y, s, info = trsyl(T, T, -(Qh @ C @ Q), tranb="C")
+        if info != 0:
+            raise SteadyStateError(f"Sylvester solve failed (trsyl info={info})")
+        return Q @ (Y / s) @ Qh
+
+    return solve, "schur"
+
+
 def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateResult:
     if L.hamiltonian is None:
         raise SteadyStateError(
@@ -236,30 +283,27 @@ def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateRes
     if not L.collapse_ops:
         raise SteadyStateError("no dissipation: the steady manifold is degenerate")
     N = L.space.dim
-    H = L.hamiltonian.dense_array()
-    ops = [o.dense_array() for o in L.collapse_ops]
-    Hnh = H - 0.5j * sum(o.conj().T @ o for o in ops)
-    # L0 X = A X + X A^H with A = -i H_nh; Schur-factor A once, then each
-    # application of M = -L0^{-1} Jump is a pair of rotations + one trsyl
-    A = -1j * Hnh
-    T, Q = sla.schur(A, output="complex")
-    (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
+    with blas.single_thread():
+        # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
+        ops = [o.to_sparse().data.tocsr() for o in L.collapse_ops]
+        pairs = [(o, o.conj()) for o in ops]
+        decay = sum(o.conj().T @ o for o in ops).toarray()
+        # L0 X = A X + X A^H with A = -i H_nh; each application of
+        # M = -L0^{-1} Jump is one jump sum and one Sylvester solve
+        A = -1j * (L.hamiltonian.dense_array() - 0.5j * decay)
+        solve, _ = _sylvester_inverse(A)
 
-    def apply_m(xvec):
-        X = xvec.reshape(N, N)
-        C = sum(o @ X @ o.conj().T for o in ops)
-        Ct = -(Q.conj().T @ C @ Q)
-        Y, s, info = trsyl(T, T, Ct, tranb="C")
-        if info != 0:
-            raise SteadyStateError(f"Sylvester solve failed (trsyl info={info})")
-        return (Q @ (Y / s) @ Q.conj().T).ravel()
+        def apply_m(xvec):
+            X = xvec.reshape(N, N)
+            C = sum((oc @ (o @ X).T).T for o, oc in pairs)
+            return solve(C).ravel()
 
-    Mop = spla.LinearOperator((N * N, N * N), matvec=apply_m, dtype=complex)
-    v0 = np.eye(N, dtype=complex).ravel() / N
-    try:
-        w, v = spla.eigs(Mop, k=1, which="LM", v0=v0, tol=tol, maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        raise SteadyStateError(f"Krylov steady-state iteration did not converge: {exc}") from exc
+        Mop = spla.LinearOperator((N * N, N * N), matvec=apply_m, dtype=complex)
+        v0 = np.eye(N, dtype=complex).ravel() / N
+        try:
+            w, v = spla.eigs(Mop, k=1, which="LM", v0=v0, tol=tol, maxiter=maxiter)
+        except spla.ArpackNoConvergence as exc:
+            raise SteadyStateError(f"Krylov steady-state iteration did not converge: {exc}") from exc
     notes = []
     gap = abs(abs(w[0]) - 1.0)
     if gap > 1e-4:
@@ -276,8 +320,12 @@ def steady_state(
     """Solve L vec(rho) = 0 with unit trace.
 
     ``direct`` replaces one row with the trace constraint and LU-factors;
-    ``krylov`` is the matrix-free Sylvester/Arnoldi path for large spaces;
-    ``auto`` picks by superoperator dimension. The residual is
+    ``krylov`` is the matrix-free Sylvester/Arnoldi path for large spaces
+    (Sylvester solves in the eigenbasis of A = -i H_nh, or through its Schur
+    form when the eigenvector matrix V has cond(V) above
+    ``EIGENBASIS_COND_LIMIT``; one OpenBLAS thread for the whole solve, the
+    caller's thread counts restored afterwards); ``auto`` picks by
+    superoperator dimension. The residual is
     ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to the operator
     scale (raw Liouvillian entries are of order omega_m, so an absolute
     residual would just restate the frequency units).

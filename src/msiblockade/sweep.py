@@ -308,6 +308,20 @@ def _check_keys(mapping, valid, where):
             raise ConfigError(f"in {where}: " + _suggest(str(key), valid))
 
 
+def _number(value, key: str, kind=float):
+    """``kind(value)``, or a ConfigError naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _levels(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of mode levels, got {value!r}")
+    return tuple(_number(x, key, int) for x in value)
+
+
 def parse_config(text: str) -> SweepSpec:
     """Parse and fully validate a YAML sweep configuration.
 
@@ -328,6 +342,8 @@ def parse_config(text: str) -> SweepSpec:
     if missing:
         raise ConfigError("missing required fields: " + "; ".join(missing))
 
+    if not isinstance(raw["axes"], list):
+        raise ConfigError(f"axes must be a list, got {raw['axes']!r}")
     axes = []
     for i, ax in enumerate(raw["axes"]):
         _check_keys(ax, _AXIS_KEYS, f"axes[{i}]")
@@ -337,16 +353,20 @@ def parse_config(text: str) -> SweepSpec:
         axes.append(
             AxisSpec(
                 name=str(ax["name"]),
-                min=float(ax["min"]),
-                max=float(ax["max"]),
-                count=int(ax["count"]),
+                min=_number(ax["min"], f"axes[{i}].min"),
+                max=_number(ax["max"], f"axes[{i}].max"),
+                count=_number(ax["count"], f"axes[{i}].count", int),
                 scale=str(ax.get("scale", "linear")),
             )
         )
 
     fixed_raw = raw.get("fixed", {}) or {}
     _check_keys(fixed_raw, PARAM_FIELDS + ("n_th", "t_bath"), "fixed")
-    fixed = SystemParams(**{k: float(v) for k, v in fixed_raw.items()})
+    values = {k: _number(v, f"fixed.{k}") for k, v in fixed_raw.items()}
+    try:
+        fixed = SystemParams(**values)
+    except ValueError as exc:  # SystemParams' range checks name the field
+        raise ConfigError(f"fixed: {exc}") from exc
 
     tiers = raw.get("tiers", ["analytic"])
     if not isinstance(tiers, list):
@@ -359,8 +379,8 @@ def parse_config(text: str) -> SweepSpec:
         axes=tuple(axes),
         fixed=fixed,
         tiers=tuple(tiers),
-        trunc_effective=tuple(int(x) for x in trunc_raw.get("effective", TRUNC_EFFECTIVE)),
-        trunc_full=tuple(int(x) for x in trunc_raw.get("full", TRUNC_FULL)),
+        trunc_effective=_levels(trunc_raw.get("effective", TRUNC_EFFECTIVE), "truncations.effective"),
+        trunc_full=_levels(trunc_raw.get("full", TRUNC_FULL), "truncations.full"),
         output=str(output) if output is not None else None,
     )
 

@@ -6,6 +6,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
+from msiblockade import blas
 from msiblockade.cli import main
 from msiblockade.figures import (
     FIGURE_IDS,
@@ -167,3 +168,12 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output.count("ok   ") == 4
         assert "all checks passed" in result.output
+        first = result.output.splitlines()[0]
+        assert first.startswith("blas: ")
+        for lib in blas.libraries():
+            assert f"{lib.name} ({lib.get_num_threads()} threads)" in first
+
+    def test_check_command_without_blas(self, monkeypatch):
+        monkeypatch.setattr(blas, "libraries", lambda: ())
+        result = self.runner.invoke(main, ["check"])
+        assert result.output.splitlines()[0] == "blas: none found"

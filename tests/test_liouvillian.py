@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from msiblockade import liouvillian
+from msiblockade.figures import MOMENT_FLOOR
 from msiblockade.fock import annihilation, make_space, number
 from msiblockade.liouvillian import (
     DensityMatrix,
@@ -26,6 +28,10 @@ from msiblockade.model import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
 )
+
+# Krylov-versus-reference tolerance: relative, plus for g2 the float64 floor
+# of the two-photon moment (MOMENT_FLOOR / n^2)
+SOLVER_RTOL = 1e-5
 
 
 def fig3_params(**kw):
@@ -188,12 +194,71 @@ class TestSteadyState:
         assert 3.0 < n < 5.0
         assert res.residual < 1e-6
 
+    def test_krylov_matches_direct_at_defect_point(self):
+        # kappa = 4.2e4 Hz, n ~ 1e-4: an earlier Krylov solve returned g2 = 1.274
+        # here against the direct solve's 1.000, with residual 8.8e-11 and no note
+        J = 312583.0
+        p = fig3_params(
+            g_omega=33.775620244847815, g_kappa=943.7787530895548, J=J, delta_c=-J, delta_e=-J,
+            kappa_c=42417.62505741053, kappa_e=42417.62505741053,
+        )
+        L = effective_liouvillian(p)
+        direct = steady_state(L, method="direct")
+        krylov = steady_state(L, method="krylov")
+        assert krylov.residual <= 1e-10 and not krylov.notes
+        for mode in (0, 1):
+            n, g2_d = mode_statistics(direct.state, mode)
+            _, g2_k = mode_statistics(krylov.state, mode)
+            assert abs(g2_k - g2_d) <= SOLVER_RTOL * abs(g2_d) + MOMENT_FLOOR / n**2
+
     def test_krylov_needs_dissipation(self):
         p = fig3_params(kappa_c=0.0, kappa_e=0.0, g_kappa=0.0)
         s = make_space([3, 3])
         L = build_liouvillian(build_effective_hamiltonian(p, s), [])
         with pytest.raises(SteadyStateError, match="degenerate"):
             steady_state(L, method="krylov")
+
+
+class TestKrylovSylvesterBranches:
+    """The Krylov solve inverts L0 in A's eigenbasis, or by Schur when cond(V) is large."""
+
+    @staticmethod
+    def solve_recording_branch(L, monkeypatch):
+        branches = []
+        inverse = liouvillian._sylvester_inverse
+
+        def spy(A):
+            solve, branch = inverse(A)
+            branches.append(branch)
+            return solve, branch
+
+        monkeypatch.setattr(liouvillian, "_sylvester_inverse", spy)
+        res = steady_state(L, method="krylov")
+        monkeypatch.setattr(liouvillian, "_sylvester_inverse", inverse)
+        return res, branches
+
+    def test_eigenbasis_and_schur_agree_when_well_conditioned(self, monkeypatch):
+        L = effective_liouvillian(fig3_params(delta_c=-2.0e5, delta_e=-2.0e5), (12, 12))
+        eig, branches = self.solve_recording_branch(L, monkeypatch)
+        assert branches == ["eigenbasis"]
+        monkeypatch.setattr(liouvillian, "EIGENBASIS_COND_LIMIT", 0.0)
+        schur, branches = self.solve_recording_branch(L, monkeypatch)
+        assert branches == ["schur"]
+        for res in (eig, schur):
+            assert res.residual <= 1e-10 and not res.notes
+        for mode in (0, 1):
+            n_s, g2_s = mode_statistics(schur.state, mode)
+            n_e, g2_e = mode_statistics(eig.state, mode)
+            assert abs(n_e - n_s) <= SOLVER_RTOL * n_s
+            assert abs(g2_e - g2_s) <= SOLVER_RTOL * abs(g2_s) + MOMENT_FLOOR / n_s**2
+
+    def test_ill_conditioned_eigenbasis_falls_back_to_schur(self, monkeypatch):
+        # kappa = 1e4 Hz, 1e3 Hz below the hybrid resonance Delta = +J: cond(V) ~ 2e4,
+        # where the eigenbasis solve's residual exceeds 1e-10
+        p = fig3_params(g_kappa=0.0, kappa_c=1.0e4, kappa_e=1.0e4, delta_c=2.0e5 - 1.0e3, delta_e=2.0e5 - 1.0e3)
+        res, branches = self.solve_recording_branch(effective_liouvillian(p, (12, 12)), monkeypatch)
+        assert branches == ["schur"]
+        assert res.residual <= 1e-10 and not res.notes
 
 
 class TestEvolve:

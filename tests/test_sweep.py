@@ -136,6 +136,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="truncations.full"):
             parse_config(MINIMAL + "truncations:\n  full: [2, 2]\n")
 
+    def test_truncation_not_a_list(self):
+        with pytest.raises(ConfigError, match="truncations.effective must be a list"):
+            parse_config(MINIMAL + "truncations:\n  effective: 6\n")
+
+    def test_fixed_value_not_a_number(self):
+        with pytest.raises(ConfigError, match="fixed.J must be a number, got 'abc'"):
+            parse_config(MINIMAL + "fixed:\n  J: abc\n")
+
+    def test_fixed_value_out_of_range(self):
+        with pytest.raises(ConfigError, match="kappa_c must be nonnegative"):
+            parse_config(MINIMAL + "fixed:\n  kappa_c: -1.0\n")
+
+    def test_axes_not_a_list(self):
+        with pytest.raises(ConfigError, match="axes must be a list"):
+            parse_config("axes: 5\n")
+
+    def test_axis_bound_not_a_number(self):
+        bad = "axes:\n  - name: delta\n    min: 0\n    max: x\n    count: 5\n"
+        with pytest.raises(ConfigError, match=r"axes\[0\].max must be a number, got 'x'"):
+            parse_config(bad)
+
 
 class TestSweepSpec:
     AXES = (AxisSpec("delta", -1.0e5, 1.0e5, 2),)
