@@ -194,13 +194,21 @@ class TestSteadyState:
         assert 3.0 < n < 5.0
         assert res.residual < 1e-6
 
-    def test_krylov_matches_direct_at_defect_point(self):
-        # kappa = 4.2e4 Hz, n ~ 1e-4: an earlier Krylov solve returned g2 = 1.274
-        # here against the direct solve's 1.000, with residual 8.8e-11 and no note
-        J = 312583.0
+    @pytest.mark.parametrize(
+        "J, kappa, g_omega, g_kappa",
+        [
+            # an earlier Krylov solve returned g2 = 1.274 here against the
+            # direct solve's 1.000, with residual 8.8e-11 and no note
+            (312583.0, 42417.62505741053, 33.775620244847815, 943.7787530895548),
+            # the eigenbasis solve without the power steps missed by 2.3 tolerances
+            (319074.0, 12513.646584035707, 320.68597786425056, 856.5527332532338),
+        ],
+    )
+    def test_krylov_matches_direct_at_defect_point(self, J, kappa, g_omega, g_kappa):
+        # Delta = -J, the presets' drive, n ~ 1e-4: the two-photon moment is
+        # near its float64 floor
         p = fig3_params(
-            g_omega=33.775620244847815, g_kappa=943.7787530895548, J=J, delta_c=-J, delta_e=-J,
-            kappa_c=42417.62505741053, kappa_e=42417.62505741053,
+            g_omega=g_omega, g_kappa=g_kappa, J=J, delta_c=-J, delta_e=-J, kappa_c=kappa, kappa_e=kappa,
         )
         L = effective_liouvillian(p)
         direct = steady_state(L, method="direct")
