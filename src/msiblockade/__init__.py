@@ -15,9 +15,11 @@ from .analytic import (
     TruncatedState,
     amplitude_dynamics,
     amplitude_steady_states,
+    amplitude_steady_states_grid,
     effective_noise,
     effective_temperature,
     g2_analytic,
+    g2_analytic_grid,
 )
 from .fock import (
     HilbertSpace,
@@ -64,6 +66,7 @@ from .semiclassical import (
     linear_fixed_point,
     nonlinear_coefficient,
     reduced_fixed_point,
+    reduced_fixed_point_grid,
 )
 from .sweep import AxisSpec, SweepSpec, SweepResult, evaluate_point, parse_config, run_sweep, serialize
 from .figures import FIGURE_IDS, reproduce

@@ -4,6 +4,11 @@ Implements the truncated-ansatz amplitude equations (vacuum, single and
 double excitations of the two optical modes), their steady states, the
 resulting zero-delay second-order correlations, and the effective
 noise / temperature of the reduced optical model.
+
+The closed-form correlations and the amplitude steady states are computed
+over whole parameter grids as arrays (``g2_analytic_grid``,
+``amplitude_steady_states_grid``); ``g2_analytic`` and
+``amplitude_steady_states`` evaluate the same code on one point.
 """
 
 from __future__ import annotations
@@ -39,6 +44,85 @@ class G2Result:
     status_e: PoleStatus = PoleStatus.OK
 
 
+# -- whole-grid evaluation ---------------------------------------------------
+#
+# The functions ending in ``_grid`` take a mapping from SystemParams field
+# names to equal-length float arrays (``SweepSpec.param_arrays`` for a sweep,
+# ``SystemParams.as_arrays`` for one point) and evaluate every point at once.
+# Complex quantities are carried as separate real and imaginary arrays and
+# combined with CPython's complex formulas, so each point's result is
+# independent of the array it sits in and agrees with scalar Python complex
+# arithmetic; squares are products (x * x), so D_J = J*J - dc*de is exactly
+# 0 at dc = de = -J. Poles are boolean masks; no division by zero is done.
+
+
+def _cdiv(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) elementwise, as CPython divides complex numbers.
+
+    Every denominator must be nonzero.
+    """
+    rr = np.empty(np.shape(br))
+    ri = np.empty(np.shape(br))
+    ar, ai = np.broadcast_to(ar, rr.shape), np.broadcast_to(ai, rr.shape)
+    # through the larger of the denominator's parts
+    m = np.abs(br) >= np.abs(bi)
+    ratio = bi[m] / br[m]
+    denom = br[m] + bi[m] * ratio
+    rr[m] = (ar[m] + ai[m] * ratio) / denom
+    ri[m] = (ai[m] - ar[m] * ratio) / denom
+    m = ~m
+    ratio = br[m] / bi[m]
+    denom = br[m] * ratio + bi[m]
+    rr[m] = (ar[m] * ratio + ai[m]) / denom
+    ri[m] = (ai[m] * ratio - ar[m]) / denom
+    return rr, ri
+
+
+def _abs2(re, im):
+    """|re + i im|^2 as hypot(re, im) squared, the value abs(z) ** 2 rounds to."""
+    h = np.hypot(re, im)
+    return h * h
+
+
+def _couplings(q):
+    """Real and imaginary parts of G, and K, D_J, f_A, f_B (see derived_couplings)."""
+    g_omega, g_kappa = q["g_omega"], q["g_kappa"]
+    J, dc, de = q["J"], q["delta_c"], q["delta_e"]
+    G_r = 2.0 * (g_omega * g_omega)
+    G_i = -(g_kappa * g_omega)
+    K = dc + de
+    D_J = J * J - dc * de
+    de2 = de * de
+    f_A_r = (2.0 * q["omega_m"] * K + G_r) * D_J - G_r * de2
+    f_A_i = G_i * D_J - G_i * de2
+    f_B = 2.0 * (J * J) + 2.0 * J * K + dc * K
+    return G_r, G_i, K, D_J, f_A_r, f_A_i, f_B
+
+
+def g2_analytic_grid(q):
+    """Closed-form (g2_c, g2_e, pole_fA, pole_JplusDeltaC) over parameter arrays.
+
+    The formulas and poles are those of :func:`g2_analytic`: both values
+    are +inf where ``pole_fA`` (f_A = 0), g2_e is +inf where
+    ``pole_JplusDeltaC`` (J + Delta_c = 0 off the f_A pole).
+    """
+    G_r, G_i, K, D_J, f_A_r, f_A_i, f_B = _couplings(q)
+    wK = 2.0 * q["omega_m"] * K
+    jc = q["J"] + q["delta_c"]
+    pole_fA = (f_A_r == 0.0) & (f_A_i == 0.0)
+    pole_jc = ~pole_fA & (jc == 0.0)
+    g2_c = np.full(len(K), np.inf)
+    g2_e = np.full(len(K), np.inf)
+    c = ~pole_fA
+    g2_c[c] = _abs2(*_cdiv(wK[c] * D_J[c], 0.0, f_A_r[c], f_A_i[c]))
+    e = c & ~pole_jc
+    jc2 = jc[e] * jc[e]
+    num_r = D_J[e] * (G_r[e] * f_B[e] + wK[e] * jc2)
+    num_i = D_J[e] * (G_i[e] * f_B[e])
+    g2_e[e] = _abs2(*_cdiv(num_r, num_i, jc2 * f_A_r[e], jc2 * f_A_i[e]))
+    return g2_c, g2_e, pole_fA, pole_jc
+
+
 def g2_analytic(p: SystemParams) -> G2Result:
     """Zero-delay second-order correlations of both cavities at kappa = 0.
 
@@ -46,17 +130,14 @@ def g2_analytic(p: SystemParams) -> G2Result:
     g2_e = |D_J [G f_B + 2 omega_m K (J+Delta_c)^2] / ((J+Delta_c)^2 f_A)|^2
 
     Vanishing denominators are reported as +inf with a status flag rather
-    than raising.
+    than raising. One point of :func:`g2_analytic_grid`.
     """
-    d = derived_couplings(p)
-    if d.f_A == 0:
+    g2_c, g2_e, pole_fA, pole_jc = g2_analytic_grid(p.as_arrays())
+    if pole_fA[0]:
         return G2Result(math.inf, math.inf, PoleStatus.POLE_FA, PoleStatus.POLE_FA)
-    g2_c = abs(2.0 * p.omega_m * d.K * d.D_J / d.f_A) ** 2
-    jc = p.J + p.delta_c
-    if jc == 0.0:
-        return G2Result(g2_c, math.inf, PoleStatus.OK, PoleStatus.POLE_J_PLUS_DELTA_C)
-    g2_e = abs(d.D_J * (d.G * d.f_B + 2.0 * p.omega_m * d.K * jc**2) / (jc**2 * d.f_A)) ** 2
-    return G2Result(g2_c, g2_e)
+    if pole_jc[0]:
+        return G2Result(float(g2_c[0]), math.inf, PoleStatus.OK, PoleStatus.POLE_J_PLUS_DELTA_C)
+    return G2Result(float(g2_c[0]), float(g2_e[0]))
 
 
 @dataclass(frozen=True)
@@ -72,9 +153,8 @@ class TruncatedState:
     status: PoleStatus = PoleStatus.OK
 
     def occupations(self) -> tuple[float, float]:
-        n_c = abs(self.cc) ** 2 + abs(self.cce) ** 2 + 2.0 * abs(self.ccc) ** 2
-        n_e = abs(self.ce) ** 2 + abs(self.cce) ** 2 + 2.0 * abs(self.cee) ** 2
-        return n_c, n_e
+        n_c, n_e = amplitude_occupations(self.cc, self.ce, self.cce, self.ccc, self.cee)
+        return float(n_c), float(n_e)
 
     def g2(self) -> tuple[float, float]:
         """(g2_c, g2_e) from the leading-order amplitude ratios 2|C_jj|^2 / |C_j|^4."""
@@ -91,41 +171,87 @@ class TruncatedState:
         return abs(self.c0) >= ratio * singles and (doubles == 0.0 or singles >= ratio * doubles)
 
 
+def amplitude_occupations(cc, ce, cce, ccc, cee):
+    """(n_c, n_e) = (|Cc|^2 + |Cce|^2 + 2|Ccc|^2, |Ce|^2 + |Cce|^2 + 2|Cee|^2), elementwise."""
+    double = _abs2(np.real(cce), np.imag(cce))
+    n_c = _abs2(np.real(cc), np.imag(cc)) + double + 2.0 * _abs2(np.real(ccc), np.imag(ccc))
+    n_e = _abs2(np.real(ce), np.imag(ce)) + double + 2.0 * _abs2(np.real(cee), np.imag(cee))
+    return n_c, n_e
+
+
+def amplitude_steady_states_grid(q):
+    """Steady amplitudes (cc, ce, cce, ccc, cee, pole_DJ, pole_fA) over parameter arrays.
+
+    The equations are those of :func:`amplitude_steady_states`, for drives
+    ``q["eps_c"]`` (equal to ``q["eps_e"]``, which callers check). Zero
+    drive gives the vacuum; ``pole_DJ`` marks a singular single-excitation
+    system (D_J = 0), ``pole_fA`` a singular double-excitation one
+    (stacked 3x3 determinant 0). Amplitudes a pole leaves undetermined are
+    NaN, as are the doubles where the 3x3 system is not finite (omega_m = 0).
+    """
+    eps = q["eps_c"]
+    n = len(eps)
+    cc = np.zeros(n)
+    ce = np.zeros(n)
+    doubles = np.zeros((n, 3), dtype=complex)
+    driven = eps != 0.0
+    G_r, G_i, K, D_J, *_ = _couplings(q)
+    pole_DJ = driven & (D_J == 0.0)
+    live = driven & ~pole_DJ
+    cc[pole_DJ] = ce[pole_DJ] = np.nan
+    doubles[pole_DJ] = np.nan
+    J, dc, de, e = q["J"][live], q["delta_c"][live], q["delta_e"][live], eps[live]
+    d = D_J[live]
+    cc_l = -e * (J + de) / d
+    ce_l = -e * (J + dc) / d
+    cc[live], ce[live] = cc_l, ce_l
+    # doubles: linear 3x3 in (Cce, Ccc, Cee), Kerr shift G/(2 omega_m) on Ccc
+    s2 = math.sqrt(2.0)
+    two_w = 2.0 * q["omega_m"][live]
+    kerr = np.full((2, len(J)), np.nan)  # undefined at omega_m = 0
+    np.divide((G_r[live], G_i[live]), two_w, out=kerr, where=two_w != 0.0)
+    m = np.zeros((len(J), 3, 3), dtype=complex)
+    m[:, 0, 0] = K[live]
+    m[:, 0, 1] = m[:, 0, 2] = m[:, 1, 0] = m[:, 2, 0] = -s2 * J
+    m[:, 1, 1].real = 2.0 * (dc + kerr[0])
+    m[:, 1, 1].imag = 2.0 * kerr[1]
+    m[:, 2, 2] = 2.0 * de
+    rhs = np.empty((len(J), 3, 1), dtype=complex)
+    rhs[:, 0, 0] = e * (cc_l + ce_l)
+    rhs[:, 1, 0] = s2 * e * cc_l
+    rhs[:, 2, 0] = s2 * e * ce_l
+    det = np.full(len(J), np.nan, dtype=complex)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    det[finite] = np.linalg.det(m[finite])
+    singular = det == 0.0
+    solvable = np.isfinite(det) & ~singular
+    pole_fA = np.zeros(n, dtype=bool)
+    live_idx = np.flatnonzero(live)
+    pole_fA[live_idx[singular]] = True
+    doubles[live_idx[~solvable]] = np.nan
+    doubles[live_idx[solvable]] = np.linalg.solve(m[solvable], rhs[solvable])[:, :, 0]
+    return cc, ce, doubles[:, 0], doubles[:, 1], doubles[:, 2], pole_DJ, pole_fA
+
+
 def amplitude_steady_states(p: SystemParams) -> TruncatedState:
     """Steady state of the weak-driving amplitude equations at kappa = 0.
 
     Solved exactly from the linear single- and double-excitation systems
     (with C0 = 1) rather than from pre-expanded closed forms; the resulting
     g2 ratios reproduce the closed-form correlations to machine precision.
-    Requires equal drives eps_c = eps_e.
+    Requires equal drives eps_c = eps_e. One point of
+    :func:`amplitude_steady_states_grid`.
     """
     if p.eps_c != p.eps_e:
         raise ValueError("amplitude steady states assume equal drives eps_c = eps_e")
-    eps = p.eps_c
-    if eps == 0.0:
-        return TruncatedState()
-    d = derived_couplings(p)
-    if d.D_J == 0.0:
+    cc, ce, cce, ccc, cee, pole_DJ, pole_fA = amplitude_steady_states_grid(p.as_arrays())
+    if pole_DJ[0]:
         return TruncatedState(status=PoleStatus.POLE_DJ)
-    # singles: [[dc, -J], [-J, de]] (Cc, Ce) = (eps, eps)
-    cc = -eps * (p.J + p.delta_e) / d.D_J
-    ce = -eps * (p.J + p.delta_c) / d.D_J
-    # doubles: linear 3x3 in (Cce, Ccc, Cee), Kerr shift G/(2 omega_m) on Ccc
-    s2 = math.sqrt(2.0)
-    kerr = d.G / (2.0 * p.omega_m)
-    m = np.array(
-        [
-            [d.K, -s2 * p.J, -s2 * p.J],
-            [-s2 * p.J, 2.0 * (p.delta_c + kerr), 0.0],
-            [-s2 * p.J, 0.0, 2.0 * p.delta_e],
-        ],
-        dtype=complex,
+    if pole_fA[0]:
+        return TruncatedState(cc=float(cc[0]), ce=float(ce[0]), status=PoleStatus.POLE_FA)
+    return TruncatedState(
+        c0=1.0, cc=float(cc[0]), ce=float(ce[0]), cce=complex(cce[0]), ccc=complex(ccc[0]), cee=complex(cee[0])
     )
-    rhs = np.array([eps * (cc + ce), s2 * eps * cc, s2 * eps * ce], dtype=complex)
-    if abs(np.linalg.det(m)) == 0.0:
-        return TruncatedState(cc=cc, ce=ce, status=PoleStatus.POLE_FA)
-    cce, ccc, cee = np.linalg.solve(m, rhs)
-    return TruncatedState(c0=1.0, cc=cc, ce=ce, cce=cce, ccc=ccc, cee=cee)
 
 
 def amplitude_dynamics(

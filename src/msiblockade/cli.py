@@ -61,7 +61,11 @@ def g2(ctx, tiers, j, **params):
     """Evaluate g2(0) and occupations at a single parameter point."""
     tier_list = tuple(t.strip() for t in tiers.split(",") if t.strip())
     try:
-        rows = evaluate_point(SystemParams(J=j, **params), tier_list)
+        p = SystemParams(J=j, **params)
+    except ValueError as exc:  # its message names the field, e.g. "kappa_c must be nonnegative"
+        raise click.UsageError(str(exc)) from exc
+    try:
+        rows = evaluate_point(p, tier_list)
     except ConfigError as exc:
         raise click.BadParameter(f"{exc}; valid: {', '.join(TIERS)}") from exc
     width = max(len(r.tier) for r in rows)

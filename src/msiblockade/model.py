@@ -13,7 +13,7 @@ on multimode spaces is fixed as (cavity c, cavity e, mechanics b).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.constants import hbar as HBAR, k as K_B
@@ -101,6 +101,15 @@ class SystemParams:
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
+    def as_arrays(self) -> dict[str, np.ndarray]:
+        """Each rate, detuning and drive as a one-element float array: this
+        point as input to the whole-grid tier functions (``*_grid``)."""
+        return {name: np.array([getattr(self, name)], dtype=float) for name in RATE_FIELDS}
+
+
+# the SystemParams fields that sweeps vary and the tier functions read
+RATE_FIELDS = tuple(f.name for f in fields(SystemParams) if f.name not in ("n_th", "t_bath"))
+
 
 @dataclass(frozen=True)
 class DerivedCouplings:
@@ -116,9 +125,10 @@ class DerivedCouplings:
 def derived_couplings(p: SystemParams) -> DerivedCouplings:
     G = 2.0 * p.g_omega**2 - 1j * p.g_kappa * p.g_omega
     K = p.delta_c + p.delta_e
-    D_J = p.J**2 - p.delta_c * p.delta_e
-    f_A = (2.0 * p.omega_m * K + G) * D_J - G * p.delta_e**2
-    f_B = 2.0 * p.J**2 + 2.0 * p.J * K + p.delta_c * K
+    # products, not ** 2: D_J is then exactly 0 at delta_c = delta_e = -J
+    D_J = p.J * p.J - p.delta_c * p.delta_e
+    f_A = (2.0 * p.omega_m * K + G) * D_J - G * (p.delta_e * p.delta_e)
+    f_B = 2.0 * (p.J * p.J) + 2.0 * p.J * K + p.delta_c * K
     return DerivedCouplings(G=G, K=K, D_J=D_J, f_A=f_A, f_B=f_B)
 
 

@@ -2,8 +2,12 @@
 
 Classical limits of the Langevin equations: the full four-variable system
 (Q, P, alpha_c, alpha_e), the mechanically eliminated two-mode reduced
-system with its cubic nonlinearity, and their fixed points. This tier is
-a cross-check on occupations only; it makes no g2 claims.
+system with its cubic nonlinearity, and their fixed points. The reduced
+fixed point is found over whole parameter grids at once
+(``reduced_fixed_point_grid``: a batched Newton solve seeded by Cramer's
+rule on the linear system); ``reduced_fixed_point`` evaluates the same
+code on one point. This tier is a cross-check on occupations only; it
+makes no g2 claims.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import root
 
 from .model import SystemParams
 
@@ -103,33 +106,146 @@ def reduced_rhs(alpha_c: complex, alpha_e: complex, p: SystemParams) -> tuple[co
     return dac, dae
 
 
-def linear_fixed_point(p: SystemParams) -> tuple[complex, complex]:
-    """Fixed point of the reduced system with the nonlinear term dropped."""
-    m = np.array(
-        [
-            [1j * p.delta_c - 0.5 * p.kappa_c, -1j * p.J],
-            [-1j * p.J, 1j * p.delta_e - 0.5 * p.kappa_e],
-        ],
-        dtype=complex,
+# -- fixed points over parameter arrays --------------------------------------
+#
+# The ``_grid`` functions take a mapping from SystemParams field names to
+# equal-length float arrays (``SweepSpec.param_arrays`` for a sweep,
+# ``SystemParams.as_arrays`` for one point). Each point's arithmetic, and its
+# number of Newton steps, depend on that point alone.
+
+NEWTON_MAX_STEPS = 100
+
+
+def _complex(re, im):
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def linear_fixed_point_grid(q):
+    """Fixed points (alpha_c, alpha_e, pole) of the reduced system without its nonlinear term.
+
+    Cramer's rule on [[i dc - kc/2, -iJ], [-iJ, i de - ke/2]] (alpha_c,
+    alpha_e) = (-eps_c, -eps_e). ``pole`` marks a zero determinant, which
+    needs kappa_c * kappa_e = 0 and is the D_J = J^2 - dc*de pole at kappa = 0;
+    the amplitudes are NaN there.
+    """
+    kc, ke = 0.5 * q["kappa_c"], 0.5 * q["kappa_e"]
+    dc, de, J = q["delta_c"], q["delta_e"], q["J"]
+    eps_c, eps_e = q["eps_c"], q["eps_e"]
+    det_r = kc * ke - dc * de + J * J
+    det_i = -(kc * de + dc * ke)
+    pole = (det_r == 0.0) & (det_i == 0.0)
+    ok = ~pole
+    dr, di = det_r[ok], det_i[ok]
+    mod2 = dr * dr + di * di
+    # Cramer numerators of alpha_c and alpha_e, (real, imaginary), each divided by det
+    numerators = (
+        (eps_c * ke, -(eps_c * de + J * eps_e)),
+        (eps_e * kc, -(dc * eps_e + J * eps_c)),
     )
-    ac, ae = np.linalg.solve(m, [-p.eps_c, -p.eps_e])
-    return complex(ac), complex(ae)
+    alpha = np.full((2, len(J)), np.nan, dtype=complex)
+    for a, (num_r, num_i) in zip(alpha, numerators):
+        nr, ni = num_r[ok], num_i[ok]
+        a[ok] = _complex((nr * dr + ni * di) / mod2, (ni * dr - nr * di) / mod2)
+    return alpha[0], alpha[1], pole
+
+
+def linear_fixed_point(p: SystemParams) -> tuple[complex, complex]:
+    """Fixed point of the reduced system with the nonlinear term dropped.
+
+    Raises ``numpy.linalg.LinAlgError`` on the pole of
+    :func:`linear_fixed_point_grid`.
+    """
+    ac, ae, pole = linear_fixed_point_grid(p.as_arrays())
+    if pole[0]:
+        raise np.linalg.LinAlgError("singular linear system: the D_J pole at kappa = 0")
+    return complex(ac[0]), complex(ae[0])
+
+
+def _residual(c, x, jacobian=False):
+    """Real residual (m, 4) of the reduced equations at x = (Re ac, Im ac, Re ae, Im ae),
+    and with ``jacobian`` its exact Jacobian (m, 4, 4); ``c`` holds per-point constants."""
+    dc, de, kc, ke, J, cr, ci, eps_c, eps_e = c
+    xr, xi, yr, yi = x.T
+    n = xr * xr + xi * xi
+    u = cr * xr - ci * xi  # (cr + i ci) alpha_c = u + i v
+    v = cr * xi + ci * xr
+    F = np.stack(
+        [
+            -kc * xr - dc * xi + n * u + J * yi + eps_c,
+            dc * xr - kc * xi + n * v - J * yr,
+            -ke * yr - de * yi + J * xi + eps_e,
+            de * yr - ke * yi - J * xr,
+        ],
+        axis=1,
+    )
+    if not jacobian:
+        return F
+    jac = np.zeros((len(xr), 4, 4))
+    jac[:, 0, 0] = -kc + 2.0 * xr * u + n * cr
+    jac[:, 0, 1] = -dc + 2.0 * xi * u - n * ci
+    jac[:, 0, 3] = J
+    jac[:, 1, 0] = dc + 2.0 * xr * v + n * ci
+    jac[:, 1, 1] = -kc + 2.0 * xi * v + n * cr
+    jac[:, 1, 2] = -J
+    jac[:, 2, 1] = J
+    jac[:, 2, 2] = -ke
+    jac[:, 2, 3] = -de
+    jac[:, 3, 0] = -J
+    jac[:, 3, 2] = de
+    jac[:, 3, 3] = -ke
+    return F, jac
+
+
+def reduced_fixed_point_grid(q, tol: float = 1e-12):
+    """Fixed points (alpha_c, alpha_e, converged, pole) of the reduced nonlinear system.
+
+    Newton's method on the four real unknowns with the exact Jacobian,
+    started from :func:`linear_fixed_point_grid`. A point stops when its
+    step is at most ``tol`` times its largest component, when its Jacobian
+    is singular or its iterate is not finite, or after NEWTON_MAX_STEPS.
+    It has converged when its largest residual component is below
+    max(|eps_c|, |eps_e|, 1) * 1e-8. At a ``pole`` of the linear seed the
+    amplitudes are NaN and the point has not converged.
+    """
+    two_w = 2.0 * q["omega_m"]
+    g_omega = q["g_omega"]
+    coeff = np.full((2, len(two_w)), np.nan)  # nonlinear_coefficient; undefined at omega_m = 0
+    np.divide((q["g_kappa"] * g_omega, 2.0 * (g_omega * g_omega)), two_w, out=coeff, where=two_w != 0.0)
+    c = np.stack([
+        q["delta_c"], q["delta_e"], 0.5 * q["kappa_c"], 0.5 * q["kappa_e"], q["J"],
+        coeff[0], coeff[1], q["eps_c"], q["eps_e"],
+    ])
+    ac0, ae0, pole = linear_fixed_point_grid(q)
+    x = np.stack([ac0.real, ac0.imag, ae0.real, ae0.imag], axis=1)
+    active = np.flatnonzero(~pole)
+    # a diverging iterate may overflow; it then stops as not finite and fails the residual test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_STEPS):
+            if not active.size:
+                break
+            xa = x[active]
+            F, jac = _residual(c[:, active], xa, jacobian=True)
+            det = np.linalg.det(jac)
+            movable = np.isfinite(det) & (det != 0.0)
+            step = np.zeros_like(xa)
+            step[movable] = np.linalg.solve(jac[movable], -F[movable, :, None])[:, :, 0]
+            xa += step
+            x[active] = xa
+            small = np.max(np.abs(step), axis=1) <= tol * np.max(np.abs(xa), axis=1)
+            active = active[movable & ~small & np.isfinite(xa).all(axis=1)]
+        residual = np.max(np.abs(_residual(c, x)), axis=1)
+    scale = np.maximum(np.maximum(np.abs(q["eps_c"]), np.abs(q["eps_e"])), 1.0)
+    converged = residual < scale * 1e-8
+    return _complex(x[:, 0], x[:, 1]), _complex(x[:, 2], x[:, 3]), converged, pole
 
 
 def reduced_fixed_point(p: SystemParams, tol: float = 1e-12) -> tuple[complex, complex, bool]:
     """Fixed point of the reduced nonlinear system.
 
-    Damped root iteration seeded from the linear solution; returns
-    (alpha_c, alpha_e, converged).
+    Newton iteration seeded from the linear solution; returns
+    (alpha_c, alpha_e, converged). One point of :func:`reduced_fixed_point_grid`.
     """
-    ac0, ae0 = linear_fixed_point(p)
-
-    def residual(y):
-        dac, dae = reduced_rhs(y[0] + 1j * y[1], y[2] + 1j * y[3], p)
-        return [dac.real, dac.imag, dae.real, dae.imag]
-
-    sol = root(residual, [ac0.real, ac0.imag, ae0.real, ae0.imag], method="hybr", tol=tol)
-    ac = complex(sol.x[0], sol.x[1])
-    ae = complex(sol.x[2], sol.x[3])
-    ok = bool(sol.success) and float(np.max(np.abs(residual(sol.x)))) < max(abs(p.eps_c), abs(p.eps_e), 1.0) * 1e-8
-    return ac, ae, ok
+    ac, ae, converged, _ = reduced_fixed_point_grid(p.as_arrays(), tol)
+    return complex(ac[0]), complex(ae[0]), bool(converged[0])

@@ -2,13 +2,16 @@
 
 A sweep is one or two axes over SystemParams fields (plus the compound
 aliases ``delta``, ``kappa``, ``eps`` that move both cavities together),
-evaluated on any subset of the four model tiers. ``evaluate_point`` is the
-one place a parameter point is evaluated: ``run_sweep`` calls it for every
-grid point, and the ``g2`` command for its single point. Row order is
-row-major over the axes, tiers in ``TIERS`` order, fixed regardless of
-execution parallelism. ``SweepResult.to_csv`` is the one sweep CSV format
-(the figure presets append derived ``log10_*`` columns through it); floats
-use shortest round-trip formatting so identical specs give byte-identical
+evaluated on any subset of the four model tiers. ``run_sweep`` evaluates
+the ``analytic`` and ``semiclassical`` tiers once over the whole grid, as
+arrays (``SweepSpec.param_arrays``), and the master-equation tiers point
+by point through ``evaluate_point``, which is also the ``g2`` command's
+one-point evaluator and uses the same array code for the grid tiers. Row
+order is row-major over the axes, tiers in ``TIERS`` order, fixed
+regardless of execution parallelism. ``SweepResult`` holds the rows as
+columns, and ``SweepResult.to_csv`` is the one sweep CSV format (the
+figure presets append derived ``log10_*`` columns through it); floats use
+shortest round-trip formatting so identical specs give byte-identical
 files.
 """
 
@@ -17,19 +20,30 @@ from __future__ import annotations
 import difflib
 import itertools
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .analytic import amplitude_steady_states, g2_analytic
+from .analytic import amplitude_occupations, amplitude_steady_states_grid, g2_analytic_grid
 from .fock import make_space
 from .liouvillian import build_liouvillian, mode_statistics, steady_state
-from .model import SystemParams, build_collapse_ops, build_effective_hamiltonian, build_full_hamiltonian
-from .semiclassical import reduced_fixed_point
+from .model import (
+    RATE_FIELDS,
+    SystemParams,
+    build_collapse_ops,
+    build_effective_hamiltonian,
+    build_full_hamiltonian,
+)
+from .semiclassical import reduced_fixed_point_grid
 
 TIERS = ("analytic", "master_effective", "master_full", "semiclassical")
+# tiers evaluated over a whole grid at once, as arrays
+GRID_TIERS = ("analytic", "semiclassical")
+# the value cells of a row, after its axis values and tier
+VALUE_FIELDS = ("g2_c", "g2_e", "n_c", "n_e", "status", "residual")
 
 # default Fock truncations: levels per cavity (effective model), and
 # cavity, cavity, mechanics (full model)
@@ -43,9 +57,7 @@ AXIS_ALIASES = {
     "eps": ("eps_c", "eps_e"),
 }
 
-PARAM_FIELDS = tuple(
-    f.name for f in fields(SystemParams) if f.name not in ("n_th", "t_bath")
-)
+PARAM_FIELDS = RATE_FIELDS
 AXIS_NAMES = PARAM_FIELDS + tuple(AXIS_ALIASES)
 
 
@@ -120,6 +132,22 @@ class SweepSpec:
         """Row-major iteration over the axis product, as tuples of floats."""
         return itertools.product(*(ax.values().tolist() for ax in self.axes))
 
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        """Each rate, detuning and drive as a flat array over the grid, in
+        the order of :meth:`grid`; an alias axis fills both of its fields."""
+        # repeat/tile rather than np.meshgrid: numpy 2.4's broadcast_to,
+        # which meshgrid calls, keeps a small object alive on every call
+        values = [ax.values() for ax in self.axes]
+        size = math.prod(len(v) for v in values)
+        arrays = {name: np.full(size, getattr(self.fixed, name), dtype=float) for name in RATE_FIELDS}
+        inner = size
+        for ax, v in zip(self.axes, values):
+            inner //= len(v)
+            grid = np.tile(np.repeat(v, inner), size // (len(v) * inner))
+            for name in AXIS_ALIASES.get(ax.name, (ax.name,)):
+                arrays[name] = grid
+        return arrays
+
     def point_params(self, values) -> SystemParams:
         updates = {}
         for ax, v in zip(self.axes, values):
@@ -139,25 +167,31 @@ class SweepRow:
     residual: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's rows, held as columns in row order.
+
+    ``columns`` maps each CSV column (the axis names, ``tier``, then
+    VALUE_FIELDS) to one entry per row: a float array for a numeric
+    column, where a non-finite value is an empty cell, and a list of str
+    for ``tier`` and ``status``. ``rows`` reads them as SweepRow records.
+    """
+
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    columns: dict
+
+    @property
+    def rows(self) -> Sequence[SweepRow]:
+        return _Rows(self)
 
     def to_csv(self, log_cols=()) -> str:
         """CSV text; each name in ``log_cols`` (a numeric row field such as
         ``g2_c``) appends a derived ``log10_<name>`` column, empty where the
         value is missing or not positive."""
-        header = [ax.name for ax in self.spec.axes] + [
-            "tier", "g2_c", "g2_e", "n_c", "n_e", "status", "residual",
-        ] + [f"log10_{c}" for c in log_cols]
-        lines = [",".join(header)]
-        for r in self.rows:
-            cells = [_fmt(v) for v in r.axis_values]
-            cells += [r.tier, _fmt(r.g2_c), _fmt(r.g2_e), _fmt(r.n_c), _fmt(r.n_e), r.status, _fmt(r.residual)]
-            cells += [_fmt_log10(getattr(r, c)) for c in log_cols]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        header = [*self.columns, *(f"log10_{c}" for c in log_cols)]
+        cols = [_fmt_column(c) for c in self.columns.values()]
+        cols += [_log10_column(self.columns[c]) for c in log_cols]
+        return "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n"
 
     def write_csv(self, path, log_cols=()) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -168,7 +202,26 @@ class SweepResult:
 
     @property
     def hard_errors(self) -> int:
-        return sum(1 for r in self.rows if r.status.startswith("error"))
+        return sum(1 for s in self.columns["status"] if s.startswith("error"))
+
+
+class _Rows(Sequence):
+    """The rows of a SweepResult as SweepRow records, each made when read."""
+
+    def __init__(self, result: SweepResult):
+        self._columns = result.columns
+        self._axes = [ax.name for ax in result.spec.axes]
+
+    def __len__(self) -> int:
+        return len(self._columns["tier"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]
+        c = self._columns
+        axis_values = tuple(float(c[name][i]) for name in self._axes)
+        return _row(axis_values, c["tier"][i], [c[f][i] for f in VALUE_FIELDS])
 
 
 def _fmt(v) -> str:
@@ -181,13 +234,40 @@ def _fmt(v) -> str:
     return repr(v)
 
 
-def _fmt_log10(v) -> str:
-    return _fmt(math.log10(v)) if v is not None and v > 0 else ""
+def _fmt_column(col) -> list[str]:
+    """A column's CSV cells: ``_fmt`` of each number, computed once per
+    distinct bit pattern (axis columns repeat few values); str cells as
+    they are."""
+    if isinstance(col, list):
+        return col
+    col = np.ascontiguousarray(col, dtype=float)
+    bits = col.view(np.int64).tolist()
+    cells = {b: _fmt(v) for b, v in dict(zip(bits, col.tolist())).items()}
+    return [cells[b] for b in bits]
 
 
-# -- per-point tier evaluation ---------------------------------------------
+def _log10_column(col) -> list[str]:
+    return [repr(math.log10(v)) if v > 0 and math.isfinite(v) else "" for v in col.tolist()]
+
+
+def _cell(v) -> float | None:
+    """A numeric row cell: the float, or None where it is missing or not finite."""
+    return float(v) if v is not None and math.isfinite(v) else None
+
+
+def _row(axis_values, tier: str, cells) -> SweepRow:
+    g2_c, g2_e, n_c, n_e, status, residual = cells
+    return SweepRow(axis_values, tier, _cell(g2_c), _cell(g2_e), _cell(n_c), _cell(n_e), status, _cell(residual))
+
+
+def _error_status(exc: Exception) -> str:
+    return f"error:{type(exc).__name__}:{exc}"
+
+
+# -- tier evaluation ---------------------------------------------------------
 #
-# Each _eval_* returns the row cells (g2_c, g2_e, n_c, n_e, status, residual).
+# A tier's cells over n points are (g2_c, g2_e, n_c, n_e, status, residual):
+# float arrays with NaN for an empty cell, and a list of status strings.
 
 
 def _tier_liouvillian(p: SystemParams, trunc, full: bool):
@@ -202,24 +282,57 @@ def _tier_liouvillian(p: SystemParams, trunc, full: bool):
     return build_liouvillian(H, ops, "sandwich")
 
 
-def _eval_analytic(p: SystemParams) -> tuple:
-    res = g2_analytic(p)
-    status_parts = []
-    if res.status_c.value != "ok":
-        status_parts.append(f"c:{res.status_c.value}")
-    if res.status_e.value != "ok":
-        status_parts.append(f"e:{res.status_e.value}")
-    n_c = n_e = None
-    if p.eps_c == p.eps_e:
-        amps = amplitude_steady_states(p)
-        if amps.status.value == "ok":
-            n_c, n_e = amps.occupations()
-        elif amps.status.value not in " ".join(status_parts):
-            status_parts.append(f"amps:{amps.status.value}")
-    status = ";".join(status_parts) if status_parts else "ok"
-    g2_c = res.g2_c if math.isfinite(res.g2_c) else None
-    g2_e = res.g2_e if math.isfinite(res.g2_e) else None
-    return g2_c, g2_e, n_c, n_e, status, None
+def _analytic_status(pole_fA: bool, pole_jc: bool, amps: str) -> str:
+    parts = []
+    if pole_fA:
+        parts += ["c:pole_fA", "e:pole_fA"]
+    elif pole_jc:
+        parts.append("e:pole_JplusDeltaC")
+    if amps and not (pole_fA and amps == "pole_fA"):
+        parts.append(f"amps:{amps}")
+    return ";".join(parts) or "ok"
+
+
+# amplitude-route outcomes beside "ok": its two poles, and doubles that are
+# not finite without a pole (omega_m = 0 leaves the Kerr shift undefined)
+_AMPS = ("", "pole_DJ", "pole_fA", "undefined")
+
+
+def _analytic_cells(q) -> tuple:
+    """Closed-form g2, and occupations from the amplitude route where the drives are equal."""
+    g2_c, g2_e, pole_fA, pole_jc = g2_analytic_grid(q)
+    n = len(g2_c)
+    n_c = np.full(n, np.nan)
+    n_e = np.full(n, np.nan)
+    amps = np.zeros(n, dtype=int)
+    equal = np.flatnonzero(q["eps_c"] == q["eps_e"])
+    cc, ce, cce, ccc, cee, pole_DJ, pole_amp_fA = amplitude_steady_states_grid({k: v[equal] for k, v in q.items()})
+    n_c[equal], n_e[equal] = amplitude_occupations(cc, ce, cce, ccc, cee)
+    undefined = ~(pole_DJ | pole_amp_fA) & ~np.isfinite(n_c[equal])
+    amps[equal] = np.select([pole_DJ, pole_amp_fA, undefined], [1, 2, 3])
+    code = pole_fA + 2 * pole_jc + 4 * amps
+    table = {c: _analytic_status(bool(c & 1), bool(c & 2), _AMPS[c >> 2]) for c in np.unique(code).tolist()}
+    status = [table[c] for c in code.tolist()]
+    return g2_c, g2_e, n_c, n_e, status, np.full(n, np.nan)
+
+
+def _semiclassical_cells(q) -> tuple:
+    """Mean-field occupations |alpha|^2 at the reduced system's fixed points."""
+    ac, ae, converged, pole = reduced_fixed_point_grid(q)
+    h_c, h_e = np.hypot(ac.real, ac.imag), np.hypot(ae.real, ae.imag)
+    labels = ("no_convergence", "ok", "pole_DJ")
+    status = [labels[c] for c in np.where(pole, 2, converged.astype(int)).tolist()]
+    nan = np.full(len(ac), np.nan)
+    return nan, nan, h_c * h_c, h_e * h_e, status, nan
+
+
+def _grid_cells(tier: str, q) -> tuple:
+    """One grid tier's cells over the points of ``q`` (see SweepSpec.param_arrays)."""
+    try:
+        return (_analytic_cells if tier == "analytic" else _semiclassical_cells)(q)
+    except Exception as exc:  # a failed tier is recorded in its rows, never fatal
+        nan = np.full(len(q["J"]), np.nan)
+        return nan, nan, nan, nan, [_error_status(exc)] * len(nan), nan
 
 
 def _eval_master(p: SystemParams, trunc, full: bool) -> tuple:
@@ -227,15 +340,7 @@ def _eval_master(p: SystemParams, trunc, full: bool) -> tuple:
     n_c, g2_c = mode_statistics(res.state, 0)
     n_e, g2_e = mode_statistics(res.state, 1)
     status = "ok" if not res.notes else ";".join(res.notes)
-    g2_c = g2_c if math.isfinite(g2_c) else None
-    g2_e = g2_e if math.isfinite(g2_e) else None
     return g2_c, g2_e, n_c, n_e, status, res.residual
-
-
-def _eval_semiclassical(p: SystemParams) -> tuple:
-    ac, ae, ok = reduced_fixed_point(p)
-    status = "ok" if ok else "no_convergence"
-    return None, None, abs(ac) ** 2, abs(ae) ** 2, status, None
 
 
 def evaluate_point(
@@ -247,6 +352,7 @@ def evaluate_point(
 ) -> list[SweepRow]:
     """One row per requested tier at parameter point ``p``, in TIERS order.
 
+    The grid tiers run the same array code as ``run_sweep``, on one point.
     An unknown or empty ``tiers`` raises :class:`ConfigError`. A tier that
     fails at this point is not fatal: its row carries empty cells and an
     ``error:<type>:<message>`` status. ``axis_values`` labels the rows with
@@ -254,43 +360,116 @@ def evaluate_point(
     """
     rows = []
     for tier in _canonical_tiers(tiers):
-        try:
-            if tier == "analytic":
-                cells = _eval_analytic(p)
-            elif tier == "master_effective":
-                cells = _eval_master(p, trunc_effective, full=False)
-            elif tier == "master_full":
-                cells = _eval_master(p, trunc_full, full=True)
-            else:
-                cells = _eval_semiclassical(p)
-        except Exception as exc:  # per-point failures are recorded, never fatal
-            cells = (None, None, None, None, f"error:{type(exc).__name__}:{exc}", None)
-        rows.append(SweepRow(tuple(axis_values), tier, *cells))
+        if tier in GRID_TIERS:
+            cells = [c[0] for c in _grid_cells(tier, p.as_arrays())]
+        else:
+            try:
+                cells = _eval_master(p, trunc_full if tier == "master_full" else trunc_effective, tier == "master_full")
+            except Exception as exc:  # per-point failures are recorded, never fatal
+                cells = (None, None, None, None, _error_status(exc), None)
+        rows.append(_row(tuple(axis_values), tier, cells))
     return rows
+
+
+def _point_errors(spec: SweepSpec) -> list[str | None] | None:
+    """Per grid point, the error status of its invalid SystemParams, or None.
+
+    Returns None when every point is valid. Each axis value is validated
+    once; only a point where two axis values are invalid is built whole,
+    to name the field SystemParams checks first.
+    """
+    per_axis = []
+    for ax in spec.axes:
+        messages = []
+        for v in ax.values().tolist():
+            try:
+                spec.fixed.with_(**ax.param_updates(v))
+                messages.append(None)
+            except ValueError as exc:
+                messages.append(_error_status(exc))
+        per_axis.append(messages)
+    if not any(m for messages in per_axis for m in messages):
+        return None
+    errors = []
+    for values, messages in zip(spec.grid(), itertools.product(*per_axis)):
+        bad = [m for m in messages if m]
+        if len(bad) > 1:
+            try:
+                spec.point_params(values)
+            except ValueError as exc:
+                bad = [_error_status(exc)]
+        errors.append(bad[0] if bad else None)
+    return errors
+
+
+def _rows_to_cells(rows) -> tuple:
+    values = [[getattr(r, f) for r in rows] for f in VALUE_FIELDS]
+    return tuple(
+        col if f == "status" else np.array([np.nan if v is None else v for v in col], dtype=float)
+        for f, col in zip(VALUE_FIELDS, values)
+    )
+
+
+def _scatter(cells, valid, errors) -> tuple:
+    """A tier's cells at the ``valid`` points, spread over the whole grid;
+    the other points carry their error status and empty cells."""
+    out = []
+    for col in cells:
+        if isinstance(col, list):
+            full = list(errors)
+            for i, s in zip(valid.tolist(), col):
+                full[i] = s
+        else:
+            full = np.full(len(errors), np.nan)
+            full[valid] = col
+        out.append(full)
+    return tuple(out)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Evaluate every grid point on every requested tier.
 
-    Points are independent; with ``threads > 1`` they run in a process
-    pool, but rows are aggregated in fixed row-major grid order either way.
+    The grid tiers (GRID_TIERS) are evaluated once over the whole grid. The
+    master-equation tiers are evaluated point by point; with ``threads > 1``
+    those points run in a process pool. Rows come out in fixed row-major
+    grid order either way. A point whose parameters are invalid (a
+    negative rate) gets an ``error:ValueError:...`` row on every tier.
     """
-    points = list(spec.grid())
-    args = (
-        map(spec.point_params, points),
-        itertools.repeat(spec.tiers),
-        itertools.repeat(spec.trunc_effective),
-        itertools.repeat(spec.trunc_full),
-        points,
-    )
-    if threads > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(points) // (8 * threads))
-            per_point = list(pool.map(evaluate_point, *args, chunksize=chunk))
-    else:
-        per_point = map(evaluate_point, *args)
-    rows = tuple(row for rows in per_point for row in rows)
-    return SweepResult(spec, rows)
+    arrays = spec.param_arrays()
+    n = len(arrays["J"])
+    errors = _point_errors(spec)
+    valid = np.arange(n) if errors is None else np.flatnonzero([e is None for e in errors])
+    q = arrays if errors is None else {k: v[valid] for k, v in arrays.items()}
+    cells = {t: _grid_cells(t, q) for t in spec.tiers if t in GRID_TIERS}
+    master = tuple(t for t in spec.tiers if t not in GRID_TIERS)
+    if master:
+        points = list(spec.grid())
+        args = (
+            [spec.point_params(points[i]) for i in valid.tolist()],
+            itertools.repeat(master),
+            itertools.repeat(spec.trunc_effective),
+            itertools.repeat(spec.trunc_full),
+        )
+        if threads > 1 and len(valid) > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                chunk = max(1, len(valid) // (8 * threads))
+                per_point = list(pool.map(evaluate_point, *args, chunksize=chunk))
+        else:
+            per_point = list(map(evaluate_point, *args))
+        for k, tier in enumerate(master):
+            cells[tier] = _rows_to_cells([rows[k] for rows in per_point])
+
+    if errors is not None:
+        cells = {t: _scatter(c, valid, errors) for t, c in cells.items()}
+    T = len(spec.tiers)
+    columns = {ax.name: np.repeat(arrays[AXIS_ALIASES.get(ax.name, (ax.name,))[0]], T) for ax in spec.axes}
+    columns["tier"] = list(spec.tiers) * n
+    for k, field in enumerate(VALUE_FIELDS):
+        col = [None] * (n * T) if field == "status" else np.empty(n * T)
+        for t, tier in enumerate(spec.tiers):
+            col[t::T] = cells[tier][k]
+        columns[field] = col
+    return SweepResult(spec, columns)
 
 
 # -- configuration ----------------------------------------------------------

@@ -77,6 +77,13 @@ class TestAmplitudeSteadyStates:
         st = amplitude_steady_states(params(delta_c=-2.0e5, delta_e=-2.0e5))
         assert st.status is PoleStatus.POLE_DJ
 
+    def test_blockade_point_is_dj_pole_for_any_j(self):
+        # J**2 rounds away from J * J = (-J) * (-J) for this J; D_J must
+        # still be exactly 0 at delta_c = delta_e = -J
+        J = 130450.06581225092
+        st = amplitude_steady_states(params(J=J, delta_c=-J, delta_e=-J))
+        assert st.status is PoleStatus.POLE_DJ
+
     def test_unequal_drives_rejected(self):
         with pytest.raises(ValueError, match="equal drives"):
             amplitude_steady_states(params(eps_e=1.0))

@@ -112,6 +112,21 @@ class TestCli:
         assert result.exit_code != 0
         assert "unknown tier" in result.output
 
+    def test_g2_rejects_invalid_parameter(self):
+        result = self.runner.invoke(main, ["g2", "--kappa-c", "-1", "--tiers", "analytic"])
+        assert result.exit_code == 2
+        assert "kappa_c must be nonnegative" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_g2_semiclassical_linear_pole(self):
+        # kappa = 0 on the D_J pole: the mean-field seed's linear system is singular
+        result = self.runner.invoke(main, [
+            "g2", "--j", "2e5", "--delta-c", "-2e5", "--delta-e", "-2e5", "--eps-c", "5e3", "--eps-e", "5e3",
+            "--kappa-c", "0", "--kappa-e", "0", "--tiers", "semiclassical",
+        ])
+        assert result.exit_code == 0, result.output
+        assert "status=pole_DJ" in result.output and "error" not in result.output
+
     def test_g2_pole_prints_dash(self):
         # delta = -J puts the empty cavity on its bunching pole
         result = self.runner.invoke(main, [

@@ -1,7 +1,10 @@
 """Mean-field tier: full four-variable dynamics, reduced model, fixed points."""
 
+import random
+
 import numpy as np
 import pytest
+from scipy.optimize import root
 
 from msiblockade.model import SystemParams
 from msiblockade.semiclassical import (
@@ -12,6 +15,7 @@ from msiblockade.semiclassical import (
     linear_fixed_point,
     nonlinear_coefficient,
     reduced_fixed_point,
+    reduced_fixed_point_grid,
     reduced_rhs,
 )
 
@@ -101,3 +105,73 @@ class TestReducedModel:
         a1, _, _ = reduced_fixed_point(p)
         a2, _, _ = reduced_fixed_point(p.with_(eps_c=p.eps_c / 2.0, eps_e=p.eps_e / 2.0))
         assert abs(a2) == pytest.approx(abs(a1) / 2.0, rel=1e-2)
+
+
+def hybr_fixed_point(p, tol=1e-12):
+    """Reference: scipy's hybr root of the reduced equations from the linear seed, with the library's converged test."""
+    m = np.array([[1j * p.delta_c - 0.5 * p.kappa_c, -1j * p.J], [-1j * p.J, 1j * p.delta_e - 0.5 * p.kappa_e]])
+    ac0, ae0 = np.linalg.solve(m, [-p.eps_c, -p.eps_e])
+
+    def residual(y):
+        dac, dae = reduced_rhs(y[0] + 1j * y[1], y[2] + 1j * y[3], p)
+        return [dac.real, dac.imag, dae.real, dae.imag]
+
+    sol = root(residual, [ac0.real, ac0.imag, ae0.real, ae0.imag], method="hybr", tol=tol)
+    ok = sol.success and np.max(np.abs(residual(sol.x))) < max(abs(p.eps_c), abs(p.eps_e), 1.0) * 1e-8
+    return complex(sol.x[0], sol.x[1]), complex(sol.x[2], sol.x[3]), bool(ok)
+
+
+def random_points(seed, eps_range, count=300):
+    """Points over the benchmark maps' windows: J, detunings and couplings as the presets span them."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        delta_c = rng.uniform(-5.0e5, 5.0e5)
+        delta_e = delta_c if rng.random() < 0.5 else rng.uniform(-5.0e5, 5.0e5)
+        kappa = 10 ** rng.uniform(3.0, 4.5)
+        eps = 10 ** rng.uniform(*np.log10(eps_range))
+        points.append(params(
+            J=rng.uniform(0.0, 5.0e5), delta_c=delta_c, delta_e=delta_e, kappa_c=kappa, kappa_e=kappa,
+            g_omega=rng.uniform(0.0, 1000.0), g_kappa=rng.uniform(0.0, 1000.0), eps_c=eps, eps_e=eps,
+        ))
+    return points
+
+
+def as_grid(points):
+    return {k: np.concatenate([p.as_arrays()[k] for p in points]) for k in points[0].as_arrays()}
+
+
+class TestBatchedFixedPoint:
+    @pytest.mark.parametrize("eps_range", [(5.0e3, 5.0e3), (1.0e6, 3.0e6)], ids=["preset_drive", "strong_drive"])
+    def test_matches_hybr_where_hybr_converges(self, eps_range):
+        points = random_points(7, eps_range)
+        ac, ae, converged, pole = reduced_fixed_point_grid(as_grid(points))
+        assert not pole.any()
+        hybr_converged = 0
+        for i, p in enumerate(points):
+            ref_c, ref_e, ref_ok = hybr_fixed_point(p)
+            if not ref_ok:
+                continue
+            hybr_converged += 1
+            # a point hybr solves must not be lost
+            assert converged[i], p
+            assert abs(ac[i] - ref_c) <= 1e-12 * abs(ref_c), p
+            assert abs(ae[i] - ref_e) <= 1e-12 * abs(ref_e), p
+        assert hybr_converged > 0.9 * len(points)
+
+    def test_grid_points_equal_scalar_calls(self):
+        points = random_points(11, (1.0e4, 1.0e6), count=40)
+        ac, ae, converged, _ = reduced_fixed_point_grid(as_grid(points))
+        for i, p in enumerate(points):
+            assert reduced_fixed_point(p) == (ac[i], ae[i], converged[i])
+
+    def test_linear_seed_pole_at_zero_kappa(self):
+        # kappa = 0 on the D_J pole: the linear system is singular
+        p = params(kappa_c=0.0, kappa_e=0.0, delta_c=-2.0e5, delta_e=-2.0e5)
+        ac, ae, converged, pole = reduced_fixed_point_grid(p.as_arrays())
+        assert pole[0] and not converged[0]
+        assert np.isnan(ac[0]) and np.isnan(ae[0])
+        with pytest.raises(np.linalg.LinAlgError, match="D_J pole"):
+            linear_fixed_point(p)
+        ac, ae, ok = reduced_fixed_point(p)
+        assert not ok

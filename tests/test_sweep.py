@@ -7,7 +7,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from msiblockade.analytic import amplitude_steady_states, g2_analytic
 from msiblockade.model import SystemParams
+from msiblockade.semiclassical import reduced_fixed_point
 from msiblockade.sweep import (
     AxisSpec,
     ConfigError,
@@ -274,11 +276,19 @@ class TestRunSweep:
 
     def test_csv_log10_empty_for_negative_value(self):
         spec = SweepSpec(axes=(AxisSpec("delta", 0.0, 1.0, 2),), tiers=("master_effective",))
-        rows = (
-            SweepRow((0.0,), "master_effective", -1.0e-3, 100.0, 1e-3, 1e-3, "ok", 1e-15),
-            SweepRow((1.0,), "master_effective", 2.5, None, 1e-3, None, "ok", 1e-15),
-        )
-        lines = SweepResult(spec, rows).to_csv(log_cols=("g2_c", "g2_e", "n_c")).split("\n")
+        columns = {
+            "delta": np.array([0.0, 1.0]),
+            "tier": ["master_effective"] * 2,
+            "g2_c": np.array([-1.0e-3, 2.5]),
+            "g2_e": np.array([100.0, np.nan]),
+            "n_c": np.array([1e-3, 1e-3]),
+            "n_e": np.array([1e-3, np.nan]),
+            "status": ["ok", "ok"],
+            "residual": np.array([1e-15, 1e-15]),
+        }
+        result = SweepResult(spec, columns)
+        assert result.rows[1] == SweepRow((1.0,), "master_effective", 2.5, None, 1e-3, None, "ok", 1e-15)
+        lines = result.to_csv(log_cols=("g2_c", "g2_e", "n_c")).split("\n")
         assert lines[1].endswith(",,2.0,-3.0")
         assert lines[2].endswith("," + repr(math.log10(2.5)) + ",,-3.0")
 
@@ -327,3 +337,105 @@ class TestRunSweep:
             assert r.residual is not None and r.residual < 1e-10
             assert 0.9 < r.g2_c < 1.1  # flat region of the detuning sweep
             assert 0.0 < r.n_c < 1e-3
+
+
+J0 = 2.0e5
+# Between them these two grids reach every status of the grid tiers; a
+# sweep has at most two axes, too few for one grid to reach them all.
+STATUS_GRIDS = {
+    # delta_c = -J: J + delta_c = 0; delta_e = -J: D_J = 0, and f_A = 0 too
+    # at g_omega = 0; delta_e = +J: K = 0, so f_A = 0 at g_omega = 0
+    "poles": SweepSpec(
+        axes=(AxisSpec("delta_e", -J0, J0, 5), AxisSpec("g_omega", 0.0, 400.0, 3)),
+        fixed=SystemParams(g_kappa=500.0, J=J0, delta_c=-J0, eps_c=5e3, eps_e=5e3),
+        tiers=("analytic", "semiclassical"),
+    ),
+    # kappa < 0: invalid point; kappa = 0 at delta = -J: the mean-field
+    # seed's D_J pole; eps_c = 0: zero drive, eps_c = 5e3: unequal drives
+    "drives_and_rates": SweepSpec(
+        axes=(AxisSpec("kappa", -5.0e3, 5.0e3, 3), AxisSpec("eps_c", 0.0, 5.0e3, 2)),
+        fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, delta_c=-J0, delta_e=-J0),
+        tiers=("analytic", "semiclassical"),
+    ),
+}
+STATUSES = {
+    "poles": {
+        "c:pole_fA;e:pole_fA;amps:pole_DJ", "e:pole_JplusDeltaC;amps:pole_DJ",
+        "c:pole_fA;e:pole_fA", "e:pole_JplusDeltaC", "ok",
+    },
+    "drives_and_rates": {"error:ValueError:kappa_c must be nonnegative", "e:pole_JplusDeltaC", "pole_DJ", "ok"},
+}
+
+
+def _finite_or_none(v):
+    return v if math.isfinite(v) else None
+
+
+class TestGridTiers:
+    @pytest.mark.parametrize("name", STATUS_GRIDS)
+    def test_grid_rows_equal_point_evaluation(self, name):
+        spec = STATUS_GRIDS[name]
+        result = run_sweep(spec)
+        assert set(result.columns["status"]) == STATUSES[name]
+        for k, values in enumerate(spec.grid()):
+            analytic, semi = result.rows[2 * k:2 * k + 2]
+            try:
+                p = spec.point_params(values)
+            except ValueError as exc:
+                for row in (analytic, semi):
+                    assert row.status == f"error:ValueError:{exc}"
+                    assert (row.g2_c, row.g2_e, row.n_c, row.n_e, row.residual) == (None,) * 5
+                continue
+            direct = evaluate_point(p, spec.tiers, axis_values=values)
+            assert [astuple(r) for r in direct] == [astuple(analytic), astuple(semi)]
+
+            closed = g2_analytic(p)
+            assert (analytic.g2_c, analytic.g2_e) == (_finite_or_none(closed.g2_c), _finite_or_none(closed.g2_e))
+            if p.eps_c != p.eps_e:
+                assert (analytic.n_c, analytic.n_e) == (None, None)
+            elif (amps := amplitude_steady_states(p)).status.value == "ok":
+                assert (analytic.n_c, analytic.n_e) == amps.occupations()
+            else:
+                assert f"amps:{amps.status.value}" in analytic.status and analytic.n_c is None
+
+            if semi.status == "pole_DJ":
+                assert p.kappa_c == 0.0 and semi.n_c is None
+            else:
+                ac, ae, ok = reduced_fixed_point(p)
+                assert semi.status == ("ok" if ok else "no_convergence")
+                assert (semi.n_c, semi.n_e) == (abs(ac) * abs(ac), abs(ae) * abs(ae))
+
+    def test_invalid_axis_values_validated_once(self, monkeypatch):
+        spec = STATUS_GRIDS["drives_and_rates"]
+        calls = []
+        validate = SystemParams.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(SystemParams, "__post_init__", counting)
+        run_sweep(spec)
+        assert len(calls) == sum(ax.count for ax in spec.axes)
+
+    def test_both_axes_invalid_names_first_checked_field(self):
+        spec = SweepSpec(axes=(AxisSpec("gamma", -1.0, 1.0, 2), AxisSpec("kappa_e", -1.0, 1.0, 2)))
+        statuses = [r.status for r in run_sweep(spec).rows]
+        # SystemParams checks kappa_e before gamma
+        kappa_e, gamma = (f"error:ValueError:{f} must be nonnegative" for f in ("kappa_e", "gamma"))
+        assert statuses[:3] == [kappa_e, gamma, kappa_e]
+        assert statuses[3] == evaluate_point(spec.point_params((1.0, 1.0)), spec.tiers)[0].status
+
+    def test_master_tier_rows_at_invalid_points(self):
+        spec = SweepSpec(
+            axes=(AxisSpec("kappa", -5.0e3, 5.0e3, 2),),
+            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, eps_c=5e3, eps_e=5e3),
+            tiers=("master_effective", "semiclassical"),
+            trunc_effective=(3, 3),
+        )
+        rows = run_sweep(spec).rows
+        assert [r.tier for r in rows] == ["master_effective", "semiclassical"] * 2
+        assert [r.status for r in rows[:2]] == ["error:ValueError:kappa_c must be nonnegative"] * 2
+        assert [astuple(r) for r in rows[2:]] == [
+            astuple(r) for r in evaluate_point(spec.point_params((5.0e3,)), spec.tiers, trunc_effective=(3, 3), axis_values=(5.0e3,))
+        ]
