@@ -13,6 +13,7 @@ over whole parameter grids as arrays (``g2_analytic_grid``,
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -25,12 +26,19 @@ from .model import SystemParams, derived_couplings, thermal_occupation
 
 
 class PoleStatus(enum.Enum):
-    """Why a closed-form value is reported as infinite."""
+    """Why a closed-form value is reported as infinite, or not at all.
+
+    The three poles are zeros of a denominator. ``UNDEFINED`` is the
+    amplitude route's status where its double-excitation amplitudes are not
+    finite without a pole: at omega_m = 0 the Kerr shift G/(2 omega_m) is
+    undefined (sweep rows write ``amps:undefined``).
+    """
 
     OK = "ok"
     POLE_DJ = "pole_DJ"
     POLE_FA = "pole_fA"
     POLE_J_PLUS_DELTA_C = "pole_JplusDeltaC"
+    UNDEFINED = "undefined"
 
     def __str__(self):
         return self.value
@@ -240,7 +248,9 @@ def amplitude_steady_states(p: SystemParams) -> TruncatedState:
     (with C0 = 1) rather than from pre-expanded closed forms; the resulting
     g2 ratios reproduce the closed-form correlations to machine precision.
     Requires equal drives eps_c = eps_e. One point of
-    :func:`amplitude_steady_states_grid`.
+    :func:`amplitude_steady_states_grid`. Where the doubles are not finite
+    without a pole (driven, D_J != 0, omega_m = 0) the status is
+    ``UNDEFINED`` and they are NaN.
     """
     if p.eps_c != p.eps_e:
         raise ValueError("amplitude steady states assume equal drives eps_c = eps_e")
@@ -249,9 +259,9 @@ def amplitude_steady_states(p: SystemParams) -> TruncatedState:
         return TruncatedState(status=PoleStatus.POLE_DJ)
     if pole_fA[0]:
         return TruncatedState(cc=float(cc[0]), ce=float(ce[0]), status=PoleStatus.POLE_FA)
-    return TruncatedState(
-        c0=1.0, cc=float(cc[0]), ce=float(ce[0]), cce=complex(cce[0]), ccc=complex(ccc[0]), cee=complex(cee[0])
-    )
+    doubles = complex(cce[0]), complex(ccc[0]), complex(cee[0])
+    status = PoleStatus.OK if all(map(cmath.isfinite, doubles)) else PoleStatus.UNDEFINED
+    return TruncatedState(1.0, float(cc[0]), float(ce[0]), *doubles, status)
 
 
 def amplitude_dynamics(

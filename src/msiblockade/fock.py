@@ -188,22 +188,35 @@ def _want_sparse(space: HilbertSpace, sparse: bool | None) -> bool:
     return sparse
 
 
-def _embed(space: HilbertSpace, mode: int, single: sp.spmatrix, sparse: bool | None) -> OperatorMatrix:
-    """Kronecker-embed a single-mode matrix at ``mode``, identities elsewhere."""
-    space.check_mode(mode)
-    op = None
-    for k, d in enumerate(space.mode_dims):
-        factor = single if k == mode else sp.identity(d, format="csr", dtype=complex)
-        op = factor if op is None else sp.kron(op, factor, format="csr")
-    result = OperatorMatrix(space, op)
-    return result if _want_sparse(space, sparse) else result.to_dense()
+def occupations(space: HilbertSpace, mode: int) -> np.ndarray:
+    """Occupation number of ``mode`` in each product basis state, in basis order."""
+    d = space.mode_dims[space.check_mode(mode)]
+    stride = math.prod(space.mode_dims[mode + 1:])
+    return np.arange(space.dim) // stride % d
+
+
+def _build(space: HilbertSpace, rows, cols, values, sparse: bool | None) -> OperatorMatrix:
+    """Operator with ``values`` at (rows, cols), one entry per row at most; rows increasing."""
+    n = space.dim
+    if _want_sparse(space, sparse):
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        return OperatorMatrix(space, sp.csr_matrix((values.astype(complex), cols, indptr), shape=(n, n)))
+    data = np.zeros((n, n), dtype=complex)
+    data[rows, cols] = values
+    return OperatorMatrix(space, data)
 
 
 def annihilation(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
-    """Ladder operator a with <n-1|a|n> = sqrt(n), embedded at ``mode``."""
-    d = space.mode_dims[space.check_mode(mode)]
-    a = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr", dtype=complex)
-    return _embed(space, mode, a, sparse)
+    """Ladder operator a with <n-1|a|n> = sqrt(n), embedded at ``mode``.
+
+    Built in one step from each basis state's occupation: row r holds
+    sqrt(n_r + 1) at column r + stride, where stride is the basis-index step
+    of one quantum in ``mode``.
+    """
+    occ = occupations(space, mode)
+    stride = math.prod(space.mode_dims[mode + 1:])
+    rows = np.flatnonzero(occ < space.mode_dims[mode] - 1)
+    return _build(space, rows, rows + stride, np.sqrt(occ[rows] + 1.0), sparse)
 
 
 def creation(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
@@ -211,9 +224,9 @@ def creation(space: HilbertSpace, mode: int, sparse: bool | None = None) -> Oper
 
 
 def number(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
-    d = space.mode_dims[space.check_mode(mode)]
-    n = sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex)
-    return _embed(space, mode, n, sparse)
+    occ = occupations(space, mode)
+    rows = np.flatnonzero(occ)
+    return _build(space, rows, rows, occ[rows].astype(float), sparse)
 
 
 def identity(space: HilbertSpace, sparse: bool | None = None) -> OperatorMatrix:

@@ -1,9 +1,13 @@
-"""Vectorized master equation: superoperator assembly, steady states, evolution.
+"""Vectorized master equation: the Lindblad generator, steady states, evolution.
 
 Column-stacking convention throughout: vec(A rho B) = (B^T kron A) vec(rho).
-Steady states are solved directly (trace-row replacement + sparse LU) for
-small superoperators; above ``DIRECT_LIMIT`` a matrix-free Krylov method is
-used that never forms the superoperator: the Liouvillian is split into its
+A :class:`Superoperator` holds the Hamiltonian and the collapse operators;
+its CSR ``matrix`` is assembled from Kronecker products only when read
+(by the sparse-LU steady state, :func:`evolve`, ``apply`` and
+``trace_preservation_defect``) and then cached. Steady states are solved
+directly (trace-row replacement + sparse LU) for small superoperators;
+above ``DIRECT_LIMIT`` a matrix-free Krylov method is used that never
+forms the superoperator: the Liouvillian is split into its
 non-Hermitian-evolution part L0 X = A X + X A^H (A = -i H_nh) and the jump
 part sum_k o_k X o_k^H, and the steady state is recovered as the dominant
 eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each application of M
@@ -13,13 +17,17 @@ Schur-factored ``trsyl`` solve when the eigenvectors' condition number
 exceeds ``EIGENBASIS_COND_LIMIT``. Two power steps x <- M x polish ARPACK's
 Ritz vector before the residual is taken. The Krylov solve runs with the
 bundled OpenBLAS libraries at one thread (``blas.single_thread``); the
-caller's thread counts are restored when it returns or raises.
+caller's thread counts are restored when it returns or raises. Both
+solvers take the residual from the factors, L rho = P rho + rho Q +
+sum_o o rho o^H, and its scale max|L| from the entry formula
+(:func:`_entry_scale`), so neither needs the matrix for it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -29,7 +37,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs
 
 from . import blas
-from .fock import HilbertSpace, OperatorMatrix, number, annihilation
+from .fock import HilbertSpace, OperatorMatrix, occupations
 
 # superoperator dimension above which steady_state switches to the
 # matrix-free Krylov solver (direct LU time grows fast beyond ~10^4)
@@ -116,34 +124,54 @@ def devectorize(vec: np.ndarray, space: HilbertSpace) -> DensityMatrix:
     return DensityMatrix(space, v.reshape(space.dim, space.dim, order="F"))
 
 
-# -- superoperator assembly -------------------------------------------------
+# -- superoperator ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Liouvillian matrix on the vectorized space, plus its building blocks.
+    """Lindblad generator on the vectorized space, held as its building blocks.
 
-    ``matrix`` is CSR of shape (dim^2, dim^2). ``hamiltonian`` and
-    ``collapse_ops`` are retained so large-dimension solvers can work
-    matrix-free without re-deriving them.
+    L rho = -i(H rho - rho H_right) + sum_o (o rho o^dag - 1/2 {o^dag o, rho}),
+    with H_right = H for the ``commutator`` convention and H^dag for
+    ``sandwich``. Collapse operators carry their sqrt(rate) prefactor.
+
+    ``matrix`` is the CSR superoperator of shape (dim^2, dim^2), assembled
+    from Kronecker products on first read and then cached. Only the
+    sparse-LU steady state, :func:`evolve`, :meth:`apply` and
+    :meth:`trace_preservation_defect` read it; the Krylov steady state and
+    every residual work from ``hamiltonian`` and ``collapse_ops``.
     """
 
     space: HilbertSpace
-    matrix: sp.spmatrix = field(repr=False)
-    convention: str = "sandwich"
-    hamiltonian: OperatorMatrix | None = field(default=None, repr=False)
+    convention: str
+    hamiltonian: OperatorMatrix = field(repr=False)
     collapse_ops: tuple[OperatorMatrix, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
-        n2 = self.space.dim**2
-        if self.matrix.shape != (n2, n2):
-            raise ValueError("superoperator shape does not match space dim squared")
+        object.__setattr__(self, "collapse_ops", tuple(self.collapse_ops))
+        for op in (self.hamiltonian, *self.collapse_ops):
+            if op.space != self.space:
+                raise ValueError("Hamiltonian or collapse operator lives on a different space")
 
     @property
     def dim(self) -> int:
         return self.space.dim**2
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The superoperator, assembled from Kronecker products on first read."""
+        Hs =self.hamiltonian.to_sparse().data
+        eye = sp.identity(self.space.dim, format="csr", dtype=complex)
+        right = Hs if self.convention == "commutator" else Hs.conj().T
+        L = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(right.T, eye, format="csr"))
+        for o in self.collapse_ops:
+            od = o.to_sparse().data
+            odo = od.conj().T @ od
+            L = L + sp.kron(od.conj(), od, format="csr")
+            L = L - 0.5 * (sp.kron(eye, odo, format="csr") + sp.kron(odo.T, eye, format="csr"))
+        return L.tocsr()
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return devectorize(self.matrix @ vectorize(rho), self.space)
@@ -160,32 +188,95 @@ def build_liouvillian(
     collapse_ops,
     convention: str = "sandwich",
 ) -> Superoperator:
-    """Assemble the Lindblad superoperator for Hamiltonian ``H`` and jumps.
+    """The Lindblad superoperator for Hamiltonian ``H`` and jumps.
 
     Collapse operators carry their sqrt(rate) prefactor. Coherent part:
     ``commutator`` -> -i(H rho - rho H); ``sandwich`` -> -i(H rho - rho H^dag).
     The two coincide for Hermitian H; for the non-Hermitian effective model
-    sandwich is the hermiticity-preserving default.
+    sandwich is the hermiticity-preserving default. Nothing is assembled
+    here: see :class:`Superoperator` for when ``matrix`` is built.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    space = H.space
-    collapse_ops = tuple(collapse_ops)
-    for o in collapse_ops:
-        if o.space != space:
-            raise ValueError("collapse operator lives on a different space")
+    return Superoperator(H.space, convention, H, collapse_ops)
 
-    Hs = H.to_sparse().data.tocsr()
-    n = space.dim
-    eye = sp.identity(n, format="csr", dtype=complex)
-    right = Hs if convention == "commutator" else Hs.conj().T
-    L = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(right.T, eye, format="csr"))
-    for o in collapse_ops:
-        od = o.to_sparse().data.tocsr()
-        odo = od.conj().T @ od
-        L = L + sp.kron(od.conj(), od, format="csr")
-        L = L - 0.5 * (sp.kron(eye, odo, format="csr") + sp.kron(odo.T, eye, format="csr"))
-    return Superoperator(space, L.tocsr(), convention, H, collapse_ops)
+
+def _entry_scale(H: np.ndarray, R: np.ndarray, jumps, K) -> float:
+    """max |L| over the superoperator's entries, without assembling it.
+
+    ``K`` holds the dense o^dag o of each jump. With H_right = R,
+    L[(i,j),(k,l)] = -i (H_ik d_jl - d_ik R_lj)
+                     + sum_o [conj(o_jl) o_ik - 1/2 (d_jl K_ik + d_ik K_lj)].
+    The four position classes (diagonal; i != k, j = l; i = k, j != l;
+    i != k, j != l) are each evaluated with the float operations of the
+    Kronecker assembly in :attr:`Superoperator.matrix`, in its order, so the
+    result equals ``abs(L.matrix).max()`` bit for bit. The j-dependence of
+    the second class (and the i-dependence of the third) enters only
+    through the jumps' diagonals, so each runs once per distinct tuple of
+    them; the last class is a sum of outer products over the jumps'
+    off-diagonal supports, one block per group of overlapping supports.
+    """
+    N = H.shape[0]
+    dense = [o.toarray() for o in jumps]
+    diags = np.stack([np.diagonal(o) for o in dense], axis=1) if jumps else np.zeros((N, 0))
+
+    def off_max(v):
+        a = np.abs(v)
+        np.fill_diagonal(a, 0.0)
+        return a.max()
+
+    # i = k, j = l; v[i, j]
+    v = -1j * (np.diagonal(H)[:, None] - np.diagonal(R)[None, :])
+    for d, k in zip(diags.T, K):
+        kd = np.diagonal(k)
+        v = v + d.conj()[None, :] * d[:, None]
+        v = v - 0.5 * (kd[:, None] + kd[None, :])
+    scale = np.abs(v).max()
+    for t in np.unique(diags, axis=0):
+        # i != k, j = l with conj(o_jj) = conj(t); v[i, k]
+        v = -1j * H
+        for c, o, k in zip(t.conj(), dense, K):
+            if c != 0:
+                v = v + c * o
+            v = v - 0.5 * k
+        scale = max(scale, off_max(v))
+        # i = k, j != l with o_ii = t; v[j, l]
+        v = -1j * (0 - R.T)
+        for c, o, k in zip(t, dense, K):
+            if c != 0:
+                v = v + o.conj() * c
+            v = v - 0.5 * k.T
+        scale = max(scale, off_max(v))
+    # i != k, j != l: sum_o conj(o_jl) o_ik over pairs of off-diagonal entries
+    flat = [o.ravel() for o in dense]
+    supports = [np.flatnonzero(f) for f in flat]
+    supports = [s[s % (N + 1) != 0] for s in supports]
+    groups: list[list[int]] = []
+    for m, s in enumerate(supports):
+        joined = [g for g in groups if any(np.intersect1d(s, supports[n]).size for n in g)]
+        groups = [g for g in groups if g not in joined] + [sorted(sum(joined, [m]))]
+    for g in groups:
+        union = np.unique(np.concatenate([supports[m] for m in g]))
+        v = np.zeros((union.size, union.size), dtype=complex)
+        for m in g:
+            u = flat[m][union]
+            v = v + np.multiply.outer(u.conj(), u)
+        scale = max(scale, np.abs(v).max(initial=0.0))
+    return float(scale)
+
+
+def _generator(L: Superoperator):
+    """(P, Q, jumps, scale) with L rho = P rho + rho Q + sum_o o rho o^dag.
+
+    P = -i H - D/2 and Q = i H_right - D/2 with D = sum_o o^dag o, dense;
+    ``jumps`` are the collapse operators in CSR form; ``scale`` is max |L|
+    (:func:`_entry_scale`), floored at 1e-300 for use as a divisor.
+    """
+    H = L.hamiltonian.dense_array()
+    R = H if L.convention == "commutator" else H.conj().T
+    jumps = [o.to_sparse().data for o in L.collapse_ops]
+    K = [o.conj().T @ o for o in jumps]
+    decay = sum(K, sp.csr_matrix(H.shape, dtype=complex)).toarray()
+    scale = max(_entry_scale(H, R, jumps, [k.toarray() for k in K]), 1e-300)
+    return -1j * H - 0.5 * decay, 1j * R - 0.5 * decay, jumps, scale
 
 
 # -- steady state -----------------------------------------------------------
@@ -199,20 +290,21 @@ class SteadyStateResult:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _finish(space, rho_raw, L: Superoperator, method: str, notes=()) -> SteadyStateResult:
+def _finish(space, rho_raw, P, Q, jumps, scale: float, method: str, notes=()) -> SteadyStateResult:
+    """Hermitize and normalize a solver's candidate and take its residual from the factors."""
     rho = 0.5 * (rho_raw + rho_raw.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-300:
         raise SteadyStateError("solver returned a traceless candidate (degenerate steady manifold?)")
     rho = rho / tr
-    scale = max(float(abs(L.matrix).max()), 1e-300)
-    resid = float(np.linalg.norm(L.matrix @ vectorize(rho)) / (scale * np.linalg.norm(rho)))
+    Lrho = P @ rho + rho @ Q + sum((o.conj() @ (o @ rho).T).T for o in jumps)
+    resid = float(np.linalg.norm(Lrho) / (scale * np.linalg.norm(rho)))
     return SteadyStateResult(DensityMatrix(space, rho), resid, method, tuple(notes))
 
 
 def _steady_direct(L: Superoperator) -> SteadyStateResult:
     n = L.space.dim
-    scale = max(float(abs(L.matrix).max()), 1e-300)
+    P, Q, jumps, scale = _generator(L)
     A = (L.matrix / scale).tolil()
     trace_row = np.zeros(n * n, dtype=complex)
     trace_row[:: n + 1] = 1.0
@@ -232,7 +324,7 @@ def _steady_direct(L: Superoperator) -> SteadyStateResult:
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("direct solve produced non-finite entries (singular system)")
-    return _finish(L.space, devectorize(x, L.space).matrix, L, "direct")
+    return _finish(L.space, devectorize(x, L.space).matrix, P, Q, jumps, scale, "direct")
 
 
 # cond(V) of A = V diag(w) V^-1 above which the Krylov solve inverts L0
@@ -276,23 +368,16 @@ def _sylvester_inverse(A: np.ndarray):
 
 
 def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateResult:
-    if L.hamiltonian is None:
-        raise SteadyStateError(
-            "matrix-free solve needs the Hamiltonian/collapse factorization; "
-            "build the superoperator with build_liouvillian"
-        )
     if not L.collapse_ops:
         raise SteadyStateError("no dissipation: the steady manifold is degenerate")
     N = L.space.dim
     with blas.single_thread():
-        # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
-        ops = [o.to_sparse().data.tocsr() for o in L.collapse_ops]
-        pairs = [(o, o.conj()) for o in ops]
-        decay = sum(o.conj().T @ o for o in ops).toarray()
-        # L0 X = A X + X A^H with A = -i H_nh; each application of
+        # L0 X = A X + X A^H with A = P = -i H_nh; each application of
         # M = -L0^{-1} Jump is one jump sum and one Sylvester solve
-        A = -1j * (L.hamiltonian.dense_array() - 0.5j * decay)
+        A, Q, jumps, scale = _generator(L)
         solve, _ = _sylvester_inverse(A)
+        # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
+        pairs = [(o, o.conj()) for o in jumps]
 
         def apply_m(xvec):
             X = xvec.reshape(N, N)
@@ -316,7 +401,7 @@ def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateRes
     gap = abs(abs(w[0]) - 1.0)
     if gap > 1e-4:
         notes.append(f"dominant eigenvalue off unity by {gap:.2e}")
-    return _finish(L.space, x.reshape(N, N), L, "krylov", notes)
+    return _finish(L.space, x.reshape(N, N), A, Q, jumps, scale, "krylov", notes)
 
 
 def steady_state(
@@ -334,10 +419,14 @@ def steady_state(
     ``EIGENBASIS_COND_LIMIT``; ARPACK's eigenvector polished by two power
     steps; one OpenBLAS thread for the whole solve, the caller's thread
     counts restored afterwards); ``auto`` picks by
-    superoperator dimension. The residual is
-    ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to the operator
-    scale (raw Liouvillian entries are of order omega_m, so an absolute
-    residual would just restate the frequency units).
+    superoperator dimension. Only ``direct`` assembles ``L.matrix``. The
+    residual is ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to
+    the operator scale (raw Liouvillian entries are of order omega_m, so an
+    absolute residual would just restate the frequency units). Both methods
+    compute it without the matrix: L rho = P rho + rho Q + sum_o o rho o^H
+    with P = -i H - D/2, Q = i H_right - D/2 and D = sum_o o^H o, and
+    max|L| from the entry formula, equal bit for bit to the assembled
+    matrix's largest entry.
 
     A singular trace-constrained system (steady-state degeneracy beyond
     normalization) raises :class:`SteadyStateError` rather than returning
@@ -399,13 +488,18 @@ def mode_statistics(rho: DensityMatrix, mode: int) -> tuple[float, float]:
     """(mean photon number, g2(0)) of one mode in a density matrix.
 
     g2 = <a^dag a^dag a a> / <a^dag a>^2; infinite when the occupation
-    vanishes (no photons to correlate).
+    vanishes (no photons to correlate). Both operators are diagonal in the
+    Fock basis, so the moments are read off rho's diagonal; the diagonal of
+    a^dag a^dag a a is formed in the order of that operator product
+    ((sqrt(n) sqrt(n-1)) sqrt(n-1)) sqrt(n), which keeps the result equal bit
+    for bit to Tr(A rho) with the assembled operators.
     """
-    a = annihilation(rho.space, mode)
-    n_op = number(rho.space, mode)
-    n = float(np.real(np.trace(n_op.dense_array() @ rho.matrix)))
-    quad = (a.dag() @ a.dag() @ a @ a).dense_array()
-    g2_num = float(np.real(np.trace(quad @ rho.matrix)))
+    occ = occupations(rho.space, mode).astype(float)
+    root, lower = np.sqrt(occ), np.sqrt(np.maximum(occ - 1.0, 0.0))
+    quad = root * lower * lower * root
+    diag = rho.matrix.diagonal()
+    n = float(np.real(np.sum(occ * diag)))
+    g2_num = float(np.real(np.sum(quad * diag)))
     if n <= 0.0:
         return max(n, 0.0), float("inf")
     return n, g2_num / n**2

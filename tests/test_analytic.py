@@ -1,5 +1,6 @@
 """Closed-form correlations, amplitude equations, effective noise/temperature."""
 
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from msiblockade.analytic import (
     g2_analytic,
 )
 from msiblockade.model import SystemParams, thermal_occupation
+from msiblockade.sweep import evaluate_point
 
 
 def params(**kw):
@@ -83,6 +85,23 @@ class TestAmplitudeSteadyStates:
         J = 130450.06581225092
         st = amplitude_steady_states(params(J=J, delta_c=-J, delta_e=-J))
         assert st.status is PoleStatus.POLE_DJ
+
+    def test_zero_omega_m_is_undefined(self):
+        # the Kerr shift G/(2 omega_m) of the double-excitation system is
+        # undefined at omega_m = 0 (driven, D_J != 0): no "ok" with NaN doubles
+        st = amplitude_steady_states(params(omega_m=0.0))
+        assert st.status is PoleStatus.UNDEFINED and str(st.status) == "undefined"
+        assert math.isfinite(st.cc) and math.isfinite(st.ce) and st.cc != 0.0
+        assert all(cmath.isnan(x) for x in (st.cce, st.ccc, st.cee))
+
+    def test_zero_omega_m_undefined_matches_sweep_row(self):
+        p = params(omega_m=0.0)
+        (row,) = evaluate_point(p, ("analytic",))
+        assert f"amps:{amplitude_steady_states(p).status}" in row.status
+
+    def test_zero_omega_m_without_drive_is_vacuum(self):
+        st = amplitude_steady_states(params(omega_m=0.0, eps_c=0.0, eps_e=0.0))
+        assert st.status is PoleStatus.OK and st.cc == 0.0 and st.ccc == 0.0
 
     def test_unequal_drives_rejected(self):
         with pytest.raises(ValueError, match="equal drives"):

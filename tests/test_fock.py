@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from msiblockade.fock import (
     DENSE_LIMIT,
@@ -24,6 +25,14 @@ from msiblockade.fock import (
     max_abs_diff,
     momentum_p,
     number,
+    occupations,
+)
+from msiblockade.liouvillian import build_liouvillian, mode_statistics, steady_state
+from msiblockade.model import (
+    SystemParams,
+    build_collapse_ops,
+    build_effective_hamiltonian,
+    build_full_hamiltonian,
 )
 
 
@@ -237,3 +246,92 @@ class TestStatesAndExpectation:
     def test_expectation_space_mismatch(self):
         with pytest.raises(SpaceMismatchError):
             expectation(number(make_space([3]), 0), basis_state(make_space([4]), (0,)))
+
+
+def kron_chain(space, mode, single, sparse):
+    """Reference builder: Kronecker-embed a single-mode matrix, identities elsewhere."""
+    op = None
+    for k, d in enumerate(space.mode_dims):
+        factor = single if k == mode else sp.identity(d, format="csr", dtype=complex)
+        op = factor if op is None else sp.kron(op, factor, format="csr")
+    result = OperatorMatrix(space, op)
+    want_sparse = space.dim >= DENSE_LIMIT if sparse is None else sparse
+    return result if want_sparse else result.to_dense()
+
+
+def reference_ladder(space, mode, sparse):
+    d = space.mode_dims[mode]
+    return kron_chain(space, mode, sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr", dtype=complex), sparse)
+
+
+def reference_number(space, mode, sparse):
+    d = space.mode_dims[mode]
+    return kron_chain(space, mode, sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex), sparse)
+
+
+def storage_bytes(op):
+    """Every array an operator stores, with its dtype, for a byte-for-byte comparison."""
+    if op.is_sparse:
+        d = op.data
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in (d.data, d.indices, d.indptr)]
+    return [(op.data.dtype.str, op.data.shape, op.data.tobytes())]
+
+
+DIRECT_BUILD_SPACES = [(5,), (2,), (3, 4), (6, 6), (12, 12), (16, 16), (2, 3, 4), (4, 4, 8), (3, 2, 5)]
+
+
+class TestDirectBuilders:
+    """Ladder and number operators are built from occupations, not Kronecker chains."""
+
+    @pytest.mark.parametrize("dims", DIRECT_BUILD_SPACES)
+    @pytest.mark.parametrize("sparse", [None, False, True])
+    def test_byte_identical_to_kron_chain(self, dims, sparse):
+        s = make_space(dims)
+        for mode in range(s.n_modes):
+            pairs = (
+                (annihilation(s, mode, sparse), reference_ladder(s, mode, sparse)),
+                (creation(s, mode, sparse), reference_ladder(s, mode, sparse).dag()),
+                (number(s, mode, sparse), reference_number(s, mode, sparse)),
+            )
+            for built, ref in pairs:
+                assert built.is_sparse == ref.is_sparse
+                assert storage_bytes(built) == storage_bytes(ref)
+
+    def test_occupations_follow_basis_index(self):
+        s = make_space([3, 2, 4])
+        for idx, occ in enumerate(np.ndindex(*s.mode_dims)):
+            assert s.basis_index(occ) == idx
+            assert [int(occupations(s, m)[idx]) for m in range(3)] == list(occ)
+
+
+def trace_form_statistics(rho, mode):
+    """mode_statistics as Tr(n rho) and Tr(a^dag a^dag a a rho) with the assembled operators."""
+    a = annihilation(rho.space, mode)
+    n = float(np.real(np.trace(number(rho.space, mode).dense_array() @ rho.matrix)))
+    quad = (a.dag() @ a.dag() @ a @ a).dense_array()
+    g2_num = float(np.real(np.trace(quad @ rho.matrix)))
+    if n <= 0.0:
+        return max(n, 0.0), float("inf")
+    return n, g2_num / n**2
+
+
+class TestModeStatisticsDiagonal:
+    @pytest.mark.parametrize(
+        "dims, delta",
+        [((6, 6), -2.0e5), ((6, 6), 1.0e5), ((6, 6), 2.0e5), ((4, 4, 8), -2.0e5), ((4, 4, 8), 0.0)],
+    )
+    def test_bit_identical_to_trace_form(self, dims, delta):
+        p = SystemParams(
+            g_omega=200.0, g_kappa=500.0, J=2.0e5, delta_c=delta, delta_e=delta,
+            eps_c=5.0e3, eps_e=5.0e3, gamma=100.0, n_th=0.3,
+        )
+        s = make_space(dims)
+        if len(dims) == 3:
+            L = build_liouvillian(build_full_hamiltonian(p, s), build_collapse_ops(p, s, "displacement_modified"))
+        else:
+            L = build_liouvillian(build_effective_hamiltonian(p, s), build_collapse_ops(p, s, "standard"))
+        # the sparse-LU solve is left out at (4,4,8), where it takes seconds
+        for method in ("direct", "krylov") if len(dims) == 2 else ("krylov",):
+            rho = steady_state(L, method=method).state
+            for mode in range(s.n_modes):
+                assert mode_statistics(rho, mode) == trace_form_statistics(rho, mode)

@@ -7,7 +7,7 @@ import pytest
 
 from msiblockade import liouvillian
 from msiblockade.figures import MOMENT_FLOOR
-from msiblockade.fock import annihilation, make_space, number
+from msiblockade.fock import OperatorMatrix, annihilation, make_space, number
 from msiblockade.liouvillian import (
     DensityMatrix,
     SteadyStateError,
@@ -134,6 +134,76 @@ class TestBuildLiouvillian:
         bad = annihilation(make_space([3, 3]), 0)
         with pytest.raises(ValueError, match="different space"):
             build_liouvillian(H, [bad])
+
+
+def random_model(seed, dims, convention):
+    """A small Liouvillian with a non-Hermitian H and every kind of jump the factors must handle.
+
+    Jumps: damping of each mode, the thermal b / b^dag pair on the last
+    mode, sqrt(gamma) n dephasing (a nonzero diagonal), a random complex
+    jump, and a sum of two of them (overlapping off-diagonal supports).
+    """
+    rng = np.random.default_rng(seed)
+    s = make_space(dims)
+    N = s.dim
+    h = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    h[rng.random((N, N)) < 0.6] = 0.0
+    H = OperatorMatrix(s, h * 10.0 ** rng.uniform(0, 5))
+    a = [annihilation(s, m) for m in range(s.n_modes)]
+    jumps = [math.sqrt(rng.uniform(0.1, 10.0)) * op for op in a]
+    jumps += [math.sqrt(rng.uniform(0.1, 10.0)) * a[-1].dag(), math.sqrt(rng.uniform(0.1, 10.0)) * number(s, 0)]
+    o = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    o[rng.random((N, N)) < 0.7] = 0.0
+    jumps += [OperatorMatrix(s, o), jumps[0] + 0.3 * jumps[-1]]
+    return build_liouvillian(H, jumps, convention)
+
+
+def physical_models():
+    p = fig3_params(gamma=100.0, n_th=0.4, delta_c=-2.0e5 + 1.0e3, delta_e=-2.0e5 + 1.0e3)
+    yield effective_liouvillian(p, (6, 6))
+    yield effective_liouvillian(p, (12, 12))
+    s = make_space((3, 3, 4))
+    yield build_liouvillian(build_full_hamiltonian(p, s), build_collapse_ops(p, s, "displacement_modified"))
+
+
+class TestMatrixFreeFactors:
+    """Residual and max|L| come from H and the jumps; the matrix is assembled only on demand."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_entry_scale_equals_assembled_max(self, seed, convention):
+        dims = [(3,), (2, 3), (3, 3), (2, 2, 3)][seed % 4]
+        L = random_model(seed, dims, convention)
+        assert liouvillian._generator(L)[3] == abs(L.matrix).max()
+
+    def test_entry_scale_equals_assembled_max_on_physical_models(self):
+        for L in physical_models():
+            assert liouvillian._generator(L)[3] == abs(L.matrix).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_residual_matches_sparse_product(self, seed, convention):
+        L = random_model(seed, (3, 3), convention)
+        rng = np.random.default_rng(100 + seed)
+        m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        P, Q, jumps, scale = liouvillian._generator(L)
+        res = liouvillian._finish(L.space, rho, P, Q, jumps, scale, "test")
+        free = P @ rho + rho @ Q + sum(o @ rho @ o.conj().T for o in jumps)
+        sparse = L.apply(DensityMatrix(L.space, rho)).matrix
+        assert np.linalg.norm(free - sparse) <= 1e-13 * np.linalg.norm(sparse)
+        reference = np.linalg.norm(L.matrix @ vectorize(rho)) / (abs(L.matrix).max() * np.linalg.norm(rho))
+        assert res.residual == pytest.approx(reference, rel=1e-13)
+
+    def test_krylov_leaves_matrix_unassembled(self):
+        L = effective_liouvillian(fig3_params())
+        krylov = steady_state(L, method="krylov")
+        assert "matrix" not in vars(L)
+        direct = steady_state(L, method="direct")
+        assert "matrix" in vars(L) and L.matrix is L.matrix
+        assert np.max(np.abs(direct.state.matrix - krylov.state.matrix)) < 1e-9
+        assert max(direct.residual, krylov.residual) <= 1e-10
 
 
 class TestSteadyState:
