@@ -3,7 +3,7 @@
 Subcommands: ``g2`` (single-point evaluation across tiers, through
 ``sweep.evaluate_point``, the same code every sweep row comes from),
 ``sweep`` (config-driven grid), ``reproduce`` (figure presets), ``check``
-(invariant suite). ``--threads`` bounds parallelism for grid work.
+(invariant suite).
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ from .model import SystemParams
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--threads", type=int, default=1, show_default=True, help="Max parallel grid workers.")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Photon anti-bunching in a dissipatively coupled two-cavity model."""
-    if threads < 1:
-        raise click.BadParameter("--threads must be >= 1")
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 _PARAM_OPTS = (
@@ -56,8 +50,7 @@ def _param_options(fn):
 @_param_options
 @click.option("--tiers", default="analytic,master_effective", show_default=True,
               help="Comma-separated subset of: " + ",".join(TIERS))
-@click.pass_context
-def g2(ctx, tiers, j, **params):
+def g2(tiers, j, **params):
     """Evaluate g2(0) and occupations at a single parameter point."""
     tier_list = tuple(t.strip() for t in tiers.split(",") if t.strip())
     try:
@@ -83,8 +76,7 @@ def g2(ctx, tiers, j, **params):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, writable=True))
-@click.pass_context
-def sweep(ctx, config_path, out_path):
+def sweep(config_path, out_path):
     """Run a configured parameter sweep and write the CSV."""
     with open(config_path) as fh:
         text = fh.read()
@@ -92,7 +84,7 @@ def sweep(ctx, config_path, out_path):
         spec = parse_config(text)
     except ConfigError as exc:
         raise click.ClickException(f"bad config: {exc}") from exc
-    result = run_sweep(spec, threads=ctx.obj["threads"])
+    result = run_sweep(spec)
     result.write_csv(out_path)
     n_err = result.hard_errors
     click.echo(f"wrote {len(result.rows)} rows to {out_path}" + (f" ({n_err} point errors)" if n_err else ""))
@@ -104,10 +96,9 @@ def sweep(ctx, config_path, out_path):
 @click.argument("figid", type=click.Choice(FIGURE_IDS))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--no-render", is_flag=True, help="Skip the PNG (CSV + plot script only).")
-@click.pass_context
-def reproduce_cmd(ctx, figid, out_dir, no_render):
+def reproduce_cmd(figid, out_dir, no_render):
     """Regenerate a figure preset: CSV panels, plot script, PNG."""
-    manifest = reproduce_figure(figid, out_dir, threads=ctx.obj["threads"], render=not no_render)
+    manifest = reproduce_figure(figid, out_dir, render=not no_render)
     for name, path in manifest["panels"].items():
         click.echo(f"panel {name}: {path}")
     click.echo(f"plot script: {manifest['plot_script']}")
@@ -118,8 +109,7 @@ def reproduce_cmd(ctx, figid, out_dir, no_render):
 
 
 @main.command()
-@click.pass_context
-def check(ctx):
+def check():
     """Run the built-in invariant suite (fast subset of the test suite).
 
     First prints the OpenBLAS libraries the steady-state solver's one-thread

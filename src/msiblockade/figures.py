@@ -82,7 +82,7 @@ def _write_text(path: str, text: str) -> None:
 # -- individual presets -----------------------------------------------------
 
 
-def _fig2(out_dir: str, threads: int) -> list[PanelFiles]:
+def _fig2(out_dir: str) -> list[PanelFiles]:
     """Effective noise and photon temperature over (photon number, bath T).
 
     Spans: mean photon number 0..10 (51 points), bath temperature
@@ -112,18 +112,18 @@ def fig3_spec() -> SweepSpec:
     )
 
 
-def _fig3(out_dir: str, threads: int) -> list[PanelFiles]:
+def _fig3(out_dir: str) -> list[PanelFiles]:
     spec = fig3_spec()
     _gate_master_effective(
         [spec.point_params((v,)) for v in (-5.0e5, 0.0, 5.0e5)], spec.trunc_effective
     )
-    result = run_sweep(spec, threads)
+    result = run_sweep(spec)
     path = os.path.join(out_dir, "fig3_detuning.csv")
     result.write_csv(path, log_cols=("g2_c", "g2_e"))
     return [PanelFiles("detuning", path)]
 
 
-def _fig45(out_dir: str, threads: int, fig: str) -> list[PanelFiles]:
+def _fig45(out_dir: str, fig: str) -> list[PanelFiles]:
     """Analytic g2 maps over (delta_c, delta_e) in [-0.5, 0.5] omega_m.
 
     One panel per dissipative coupling value; fig4 reports the
@@ -140,14 +140,14 @@ def _fig45(out_dir: str, threads: int, fig: str) -> list[PanelFiles]:
             fixed=_BASE.with_(g_omega=400.0, g_kappa=gk),
             tiers=("analytic",),
         )
-        result = run_sweep(spec, threads)
+        result = run_sweep(spec)
         path = os.path.join(out_dir, f"{fig}_gk{int(gk)}.csv")
         result.write_csv(path, log_cols=(log_col,))
         panels.append(PanelFiles(f"gk{int(gk)}", path))
     return panels
 
 
-def _fig6(out_dir: str, threads: int) -> list[PanelFiles]:
+def _fig6(out_dir: str) -> list[PanelFiles]:
     """Master-equation g2 over the coupling plane (g_omega, g_kappa).
 
     Span 0..1000 Hz on both axes (brackets every coupling value used
@@ -165,13 +165,13 @@ def _fig6(out_dir: str, threads: int) -> list[PanelFiles]:
         spec.point_params(v) for v in ((0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0), (500.0, 500.0))
     ]
     _gate_master_effective(probes, spec.trunc_effective)
-    result = run_sweep(spec, threads)
+    result = run_sweep(spec)
     path = os.path.join(out_dir, "fig6_couplings.csv")
     result.write_csv(path, log_cols=("g2_c", "g2_e"))
     return [PanelFiles("couplings", path)]
 
 
-def _fig7(out_dir: str, threads: int) -> list[PanelFiles]:
+def _fig7(out_dir: str) -> list[PanelFiles]:
     """Master-equation g2 versus dissipation kappa at delta = -J.
 
     kappa/omega_m log-spaced over 1e-9..1e-1 (33 points) per dissipative
@@ -186,14 +186,14 @@ def _fig7(out_dir: str, threads: int) -> list[PanelFiles]:
         )
         probes = [spec.point_params((v,)) for v in (1.0e-3, 1.0e5)]
         _gate_master_effective(probes, spec.trunc_effective)
-        result = run_sweep(spec, threads)
+        result = run_sweep(spec)
         path = os.path.join(out_dir, f"fig7_gk{int(gk)}.csv")
         result.write_csv(path, log_cols=("g2_c", "g2_e"))
         panels.append(PanelFiles(f"gk{int(gk)}", path))
     return panels
 
 
-def _fig8(out_dir: str, threads: int) -> list[PanelFiles]:
+def _fig8(out_dir: str) -> list[PanelFiles]:
     """Analytic g2 over (J, delta) with delta_c = delta_e = delta.
 
     J in 0..0.5 omega_m, delta in -0.5..0.5 omega_m, 101x101; contains the
@@ -207,7 +207,7 @@ def _fig8(out_dir: str, threads: int) -> list[PanelFiles]:
         fixed=_BASE.with_(g_omega=200.0, g_kappa=500.0),
         tiers=("analytic",),
     )
-    result = run_sweep(spec, threads)
+    result = run_sweep(spec)
     path = os.path.join(out_dir, "fig8_j_delta.csv")
     result.write_csv(path, log_cols=("g2_c", "g2_e"))
     return [PanelFiles("j_delta", path)]
@@ -216,8 +216,8 @@ def _fig8(out_dir: str, threads: int) -> list[PanelFiles]:
 _BUILDERS = {
     "fig2": _fig2,
     "fig3": _fig3,
-    "fig4": lambda out, th: _fig45(out, th, "fig4"),
-    "fig5": lambda out, th: _fig45(out, th, "fig5"),
+    "fig4": lambda out: _fig45(out, "fig4"),
+    "fig5": lambda out: _fig45(out, "fig5"),
     "fig6": _fig6,
     "fig7": _fig7,
     "fig8": _fig8,
@@ -321,7 +321,7 @@ def _render_png(fig_id: str, panels: list[PanelFiles], out_dir: str) -> str | No
     return png
 
 
-def reproduce(fig_id: str, out_dir: str, threads: int = 1, render: bool = True) -> dict:
+def reproduce(fig_id: str, out_dir: str, render: bool = True) -> dict:
     """Write a figure preset's CSV panels, plot script, and optional PNG.
 
     Returns a manifest dict with the written paths.
@@ -329,7 +329,7 @@ def reproduce(fig_id: str, out_dir: str, threads: int = 1, render: bool = True) 
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {fig_id!r}; valid: {', '.join(FIGURE_IDS)}")
     os.makedirs(out_dir, exist_ok=True)
-    panels = _BUILDERS[fig_id](out_dir, threads)
+    panels = _BUILDERS[fig_id](out_dir)
     script_path = os.path.join(out_dir, f"{fig_id}.gnuplot")
     _write_text(script_path, _gnuplot_script(fig_id, panels, out_dir))
     png = _render_png(fig_id, panels, out_dir) if render else None

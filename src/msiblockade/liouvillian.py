@@ -8,14 +8,15 @@ its CSR ``matrix`` is assembled from Kronecker products only when read
 directly (trace-row replacement + sparse LU) for small superoperators;
 above ``DIRECT_LIMIT`` a matrix-free Krylov method is used that never
 forms the superoperator: the Liouvillian is split into its
-non-Hermitian-evolution part L0 X = A X + X A^H (A = -i H_nh) and the jump
-part sum_k o_k X o_k^H, and the steady state is recovered as the dominant
+non-Hermitian-evolution part L0 X = P X + X Q (P = -i H - D/2, Q =
+i H_right - D/2, so Q = P^H for ``sandwich``) and the jump part
+sum_k o_k X o_k^H, and the steady state is recovered as the dominant
 eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each application of M
 applies the jumps as sparse (CSR) operators and inverts L0 as a Sylvester
-equation in A's eigenbasis (four dense products), falling back to a
-Schur-factored ``trsyl`` solve when the eigenvectors' condition number
-exceeds ``EIGENBASIS_COND_LIMIT``. Two power steps x <- M x polish ARPACK's
-Ritz vector before the residual is taken. The Krylov solve runs with the
+equation in the eigenbases of P and Q (four dense products), falling back
+to a Schur-factored ``trsyl`` solve when either eigenvector matrix's
+condition number exceeds ``EIGENBASIS_COND_LIMIT``. Two power steps
+x <- M x polish ARPACK's Ritz vector before the residual is taken. The Krylov solve runs with the
 bundled OpenBLAS libraries at one thread (``blas.single_thread``); the
 caller's thread counts are restored when it returns or raises. Both
 solvers take the residual from the factors, L rho = P rho + rho Q +
@@ -327,42 +328,55 @@ def _steady_direct(L: Superoperator) -> SteadyStateResult:
     return _finish(L.space, devectorize(x, L.space).matrix, P, Q, jumps, scale, "direct")
 
 
-# cond(V) of A = V diag(w) V^-1 above which the Krylov solve inverts L0
-# through the Schur form instead of the eigenbasis. The eigenbasis solve's
-# residual grows with cond(V); measured on the effective model at (12,12),
-# kappa 5e3 to 5e4 Hz, Delta = J and J - 1e3: 1.4e-13 at cond(V) = 232,
-# 1.1e-12 at 695, 7e-12 at 1.7e3, 3-4e-11 at 4.7e3 to 1.2e4, and 1.7e-10 at
-# 2.2e4 (kappa = 1e4 Hz, Delta = J - 1e3), above the 1e-10 limit; the Schur
-# solve stays at ~2e-15. Over fig7's kappa (1e-3 to 1e5 Hz), four detunings
-# and three g, cond(V) stays below 120 on master_full at (4,4,8) and is
-# above the limit at 3 % of (12,12) points. At the limit the eigenbasis
-# residual is about 20 times below 1e-10.
+# cond(V) of P = V diag(w) V^-1 (or of Q's eigenvectors) above which the
+# Krylov solve inverts L0 through Schur forms instead of eigenbases. The
+# eigenbasis solve's residual grows with cond(V); measured on the sandwich
+# effective model at (12,12), kappa 5e3 to 5e4 Hz, Delta = J and J - 1e3:
+# 1.4e-13 at cond(V) = 232, 1.1e-12 at 695, 7e-12 at 1.7e3, 3-4e-11 at
+# 4.7e3 to 1.2e4, and 1.7e-10 at 2.2e4 (kappa = 1e4 Hz, Delta = J - 1e3),
+# above the 1e-10 limit; the Schur solve stays at ~2e-15. Over fig7's kappa
+# (1e-3 to 1e5 Hz), four detunings and three g, cond(V) stays below 120 on
+# master_full at (4,4,8) and is above the limit at 3 % of (12,12) points.
+# At the limit the eigenbasis residual is about 20 times below 1e-10.
 EIGENBASIS_COND_LIMIT = 1e3
 
 
-def _sylvester_inverse(A: np.ndarray):
-    """(solve, branch): solve(C) is the X with A X + X A^H = -C.
+def _sylvester_inverse(P: np.ndarray, Q: np.ndarray, convention: str):
+    """(solve, branch): solve(C) is the X with P X + X Q = -C.
 
-    Where A's eigenvectors V are well conditioned, A = V diag(w) V^-1 turns
-    the equation elementwise: X = V [(V^-1 C V^-H) / -(w_i + conj w_j)] V^H,
-    four matrix products per solve. Otherwise A is Schur-factored and each
-    solve is a pair of unitary rotations around LAPACK's triangular trsyl.
+    Where the eigenvectors of P = V diag(w) V^-1 and Q = U diag(u) U^-1 are
+    both well conditioned, the equation turns elementwise:
+    X = V [(V^-1 C U) / -(w_i + u_j)] U^-1, four matrix products per solve.
+    Otherwise P and Q are Schur-factored and each solve is a pair of unitary
+    rotations around LAPACK's triangular trsyl. For ``sandwich`` Q = P^H, so
+    Q's factors come from P's (U = V^-H, u = conj w; Q's Schur form is the
+    adjoint of P's); for ``commutator`` Q is factored itself.
     """
-    w, V = np.linalg.eig(A)
-    if np.linalg.cond(V) <= EIGENBASIS_COND_LIMIT:
+    sandwich = convention == "sandwich"
+    w, V = np.linalg.eig(P)
+    if sandwich:
+        well_conditioned = np.linalg.cond(V) <= EIGENBASIS_COND_LIMIT
+    else:
+        u, U = np.linalg.eig(Q)
+        well_conditioned = max(np.linalg.cond(V), np.linalg.cond(U)) <= EIGENBASIS_COND_LIMIT
+    if well_conditioned:
         Vi = np.linalg.inv(V)
-        Vh, Vih = V.conj().T, Vi.conj().T
-        scale = -1.0 / (w[:, None] + w.conj()[None, :])
-        return (lambda C: V @ ((Vi @ C @ Vih) * scale) @ Vh), "eigenbasis"
-    T, Q = sla.schur(A, output="complex")
-    Qh = Q.conj().T
+        if sandwich:
+            u, U, Ui = w.conj(), Vi.conj().T, V.conj().T
+        else:
+            Ui = np.linalg.inv(U)
+        scale = -1.0 / (w[:, None] + u[None, :])
+        return (lambda C: V @ ((Vi @ C @ U) * scale) @ Ui), "eigenbasis"
+    T, Z = sla.schur(P, output="complex")
+    S, W = (T, Z) if sandwich else sla.schur(Q, output="complex")
+    Zh, Wh = Z.conj().T, W.conj().T
     (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
 
     def solve(C):
-        Y, s, info = trsyl(T, T, -(Qh @ C @ Q), tranb="C")
+        Y, s, info = trsyl(T, S, -(Zh @ C @ W), tranb="C" if sandwich else "N")
         if info != 0:
             raise SteadyStateError(f"Sylvester solve failed (trsyl info={info})")
-        return Q @ (Y / s) @ Qh
+        return Z @ (Y / s) @ Wh
 
     return solve, "schur"
 
@@ -372,10 +386,10 @@ def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateRes
         raise SteadyStateError("no dissipation: the steady manifold is degenerate")
     N = L.space.dim
     with blas.single_thread():
-        # L0 X = A X + X A^H with A = P = -i H_nh; each application of
+        # L0 X = P X + X Q (Q = P^H for sandwich); each application of
         # M = -L0^{-1} Jump is one jump sum and one Sylvester solve
-        A, Q, jumps, scale = _generator(L)
-        solve, _ = _sylvester_inverse(A)
+        P, Q, jumps, scale = _generator(L)
+        solve, _ = _sylvester_inverse(P, Q, L.convention)
         # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
         pairs = [(o, o.conj()) for o in jumps]
 
@@ -401,7 +415,7 @@ def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateRes
     gap = abs(abs(w[0]) - 1.0)
     if gap > 1e-4:
         notes.append(f"dominant eigenvalue off unity by {gap:.2e}")
-    return _finish(L.space, x.reshape(N, N), A, Q, jumps, scale, "krylov", notes)
+    return _finish(L.space, x.reshape(N, N), P, Q, jumps, scale, "krylov", notes)
 
 
 def steady_state(
@@ -414,11 +428,11 @@ def steady_state(
 
     ``direct`` replaces one row with the trace constraint and LU-factors;
     ``krylov`` is the matrix-free Sylvester/Arnoldi path for large spaces
-    (Sylvester solves in the eigenbasis of A = -i H_nh, or through its Schur
-    form when the eigenvector matrix V has cond(V) above
-    ``EIGENBASIS_COND_LIMIT``; ARPACK's eigenvector polished by two power
-    steps; one OpenBLAS thread for the whole solve, the caller's thread
-    counts restored afterwards); ``auto`` picks by
+    (Sylvester solves P X + X Q = -C in the eigenbases of P and Q, or
+    through their Schur forms when an eigenvector matrix has condition
+    number above ``EIGENBASIS_COND_LIMIT``; ARPACK's eigenvector polished
+    by two power steps; one OpenBLAS thread for the whole solve, the
+    caller's thread counts restored afterwards); ``auto`` picks by
     superoperator dimension. Only ``direct`` assembles ``L.matrix``. The
     residual is ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to
     the operator scale (raw Liouvillian entries are of order omega_m, so an

@@ -12,6 +12,7 @@ on multimode spaces is fixed as (cavity c, cavity e, mechanics b).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -63,6 +64,10 @@ class SystemParams:
     t_bath: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("omega_m", "kappa_c", "kappa_e", "gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

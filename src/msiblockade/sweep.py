@@ -7,12 +7,11 @@ the ``analytic`` and ``semiclassical`` tiers once over the whole grid, as
 arrays (``SweepSpec.param_arrays``), and the master-equation tiers point
 by point through ``evaluate_point``, which is also the ``g2`` command's
 one-point evaluator and uses the same array code for the grid tiers. Row
-order is row-major over the axes, tiers in ``TIERS`` order, fixed
-regardless of execution parallelism. ``SweepResult`` holds the rows as
-columns, and ``SweepResult.to_csv`` is the one sweep CSV format (the
-figure presets append derived ``log10_*`` columns through it); floats use
-shortest round-trip formatting so identical specs give byte-identical
-files.
+order is row-major over the axes, tiers in ``TIERS`` order.
+``SweepResult`` holds the rows as columns, and ``SweepResult.to_csv`` is
+the one sweep CSV format (the figure presets append derived ``log10_*``
+columns through it); floats use shortest round-trip formatting so
+identical specs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import difflib
 import itertools
 import math
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +90,9 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ConfigError(_suggest(self.name, AXIS_NAMES))
+        for bound, value in (("min", self.min), ("max", self.max)):
+            if not math.isfinite(value):
+                raise ConfigError(f"axis {self.name!r}: {bound} must be finite, got {value}")
         if self.count < 2:
             raise ConfigError(f"axis {self.name!r}: count must be >= 2, got {self.count}")
         if self.scale not in ("linear", "log"):
@@ -426,14 +427,13 @@ def _scatter(cells, valid, errors) -> tuple:
     return tuple(out)
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point on every requested tier.
 
-    The grid tiers (GRID_TIERS) are evaluated once over the whole grid. The
-    master-equation tiers are evaluated point by point; with ``threads > 1``
-    those points run in a process pool. Rows come out in fixed row-major
-    grid order either way. A point whose parameters are invalid (a
-    negative rate) gets an ``error:ValueError:...`` row on every tier.
+    The grid tiers (GRID_TIERS) are evaluated once over the whole grid, the
+    master-equation tiers point by point, in order. Rows come out in
+    row-major grid order. A point whose parameters are invalid (a negative
+    or non-finite rate) gets an ``error:ValueError:...`` row on every tier.
     """
     arrays = spec.param_arrays()
     n = len(arrays["J"])
@@ -444,18 +444,10 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     master = tuple(t for t in spec.tiers if t not in GRID_TIERS)
     if master:
         points = list(spec.grid())
-        args = (
-            [spec.point_params(points[i]) for i in valid.tolist()],
-            itertools.repeat(master),
-            itertools.repeat(spec.trunc_effective),
-            itertools.repeat(spec.trunc_full),
-        )
-        if threads > 1 and len(valid) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                chunk = max(1, len(valid) // (8 * threads))
-                per_point = list(pool.map(evaluate_point, *args, chunksize=chunk))
-        else:
-            per_point = list(map(evaluate_point, *args))
+        per_point = [
+            evaluate_point(spec.point_params(points[i]), master, spec.trunc_effective, spec.trunc_full)
+            for i in valid.tolist()
+        ]
         for k, tier in enumerate(master):
             cells[tier] = _rows_to_cells([rows[k] for rows in per_point])
 
@@ -488,11 +480,16 @@ def _check_keys(mapping, valid, where):
 
 
 def _number(value, key: str, kind=float):
-    """``kind(value)``, or a ConfigError naming ``key``."""
+    """``kind(value)``, or a ConfigError naming ``key``; an ``int`` must
+    equal the value it is read from, so 3.9 is refused rather than cut to 3."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = kind(value)
+        exact = kind is not int or number == float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if not exact:
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return number
 
 
 def _levels(value, key: str) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ for the measured values.
 
 import filecmp
 import math
-import os
 
 import numpy as np
 import pytest
@@ -39,7 +38,6 @@ from msiblockade.model import (
 from msiblockade.sweep import AxisSpec, SweepSpec, run_sweep
 
 OMEGA_M = 1.0e6
-THREADS = min(4, os.cpu_count() or 1)
 
 
 def base_params(**kw):
@@ -61,7 +59,7 @@ def report(capsys, num, ok, summary):
 def fig3_result():
     """The 401-point detuning sweep (analytic + master tiers), shared by
     the reproduction and tier-agreement criteria."""
-    return run_sweep(fig3_spec(), threads=THREADS)
+    return run_sweep(fig3_spec())
 
 
 def _tier_curve(result, tier):
@@ -146,7 +144,7 @@ def test_criterion_05_kappa_minimum_trend(capsys):
             fixed=base_params(g_kappa=gk, delta_c=-2.0e5, delta_e=-2.0e5, kappa_c=0.0, kappa_e=0.0),
             tiers=("master_effective",),
         )
-        x, y = _tier_curve(run_sweep(spec, threads=THREADS), "master_effective")
+        x, y = _tier_curve(run_sweep(spec), "master_effective")
         locations.append(float(x[int(np.nanargmin(y))]))
     ok = all(b >= a for a, b in zip(locations, locations[1:]))
     report(capsys, 5, ok, f"kappa of g2_c minimum vs g_kappa: {['%.3g' % l for l in locations]}")
@@ -263,7 +261,7 @@ def test_criterion_09_truncation_convergence(capsys):
             tiers=("master_effective",),
             trunc_effective=trunc,
         )
-        return _tier_curve(run_sweep(spec, threads=THREADS), "master_effective")
+        return _tier_curve(run_sweep(spec), "master_effective")
 
     x, y_lo = sweep_at((6, 6))
     _, y_hi = sweep_at((12, 12))
@@ -280,8 +278,8 @@ def test_criterion_09_truncation_convergence(capsys):
 
 
 def test_criterion_10_reproduce_determinism(capsys, tmp_path):
-    m1 = reproduce("fig4", str(tmp_path / "run1"), threads=THREADS, render=False)
-    m2 = reproduce("fig4", str(tmp_path / "run2"), threads=THREADS, render=False)
+    m1 = reproduce("fig4", str(tmp_path / "run1"), render=False)
+    m2 = reproduce("fig4", str(tmp_path / "run2"), render=False)
     mismatches = []
     for name, path1 in m1["panels"].items():
         path2 = m2["panels"][name]

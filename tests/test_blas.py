@@ -105,9 +105,9 @@ class TestKrylovBudget:
         seen = []
         inverse = liouvillian._sylvester_inverse
 
-        def spy(A):
+        def spy(*args):
             seen.append([lib.get_num_threads() for lib in two_threads])
-            return inverse(A)
+            return inverse(*args)
 
         monkeypatch.setattr(liouvillian, "_sylvester_inverse", spy)
         res = steady_state(small_liouvillian(), method="krylov")
@@ -116,7 +116,7 @@ class TestKrylovBudget:
         assert [lib.get_num_threads() for lib in two_threads] == [2] * len(two_threads)
 
     def test_failed_krylov_solve_restores(self, two_threads, monkeypatch):
-        def fail(A):
+        def fail(*args):
             raise SteadyStateError("Sylvester solve failed")
 
         monkeypatch.setattr(liouvillian, "_sylvester_inverse", fail)

@@ -118,6 +118,12 @@ class TestCli:
         assert "kappa_c must be nonnegative" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("option, value, field", [("--j", "nan", "J"), ("--kappa-c", "inf", "kappa_c")])
+    def test_g2_rejects_non_finite_parameter(self, option, value, field):
+        result = self.runner.invoke(main, ["g2", option, value, "--tiers", "analytic"])
+        assert result.exit_code == 2
+        assert f"{field} must be finite" in result.output
+
     def test_g2_semiclassical_linear_pole(self):
         # kappa = 0 on the D_J pole: the mean-field seed's linear system is singular
         result = self.runner.invoke(main, [
@@ -162,6 +168,23 @@ class TestCli:
         assert result.exit_code != 0
         assert "bad config" in result.output and "kappa_c" in result.output
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("axes:\n  - {name: delta, min: 0.0, max: 1.0, count: 2}\nfixed: {J: .nan}\n", "J must be finite"),
+            ("axes:\n  - {name: delta, min: .nan, max: 1.0, count: 2}\n", "min must be finite"),
+        ],
+        ids=["fixed", "axis"],
+    )
+    def test_sweep_rejects_non_finite_config(self, tmp_path, config, message):
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out.csv"
+        result = self.runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "bad config" in result.output and message in result.output
+        assert not out.exists()
+
     def test_reproduce_command_no_render(self, tmp_path):
         result = self.runner.invoke(main, ["reproduce", "fig2", "--out", str(tmp_path), "--no-render"])
         assert result.exit_code == 0, result.output
@@ -174,9 +197,10 @@ class TestCli:
         result = self.runner.invoke(main, ["reproduce", "fig99", "--out", str(tmp_path)])
         assert result.exit_code != 0
 
-    def test_threads_validation(self):
-        result = self.runner.invoke(main, ["--threads", "0", "check"])
-        assert result.exit_code != 0
+    def test_threads_option_removed(self):
+        result = self.runner.invoke(main, ["--threads", "2", "check"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--threads" in result.output
 
     def test_check_command(self):
         result = self.runner.invoke(main, ["check"])

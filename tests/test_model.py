@@ -35,6 +35,12 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="omega_m"):
             params(omega_m=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        for name in ("omega_m", "kappa_c", "J", "delta_e", "eps_c", "n_th", "t_bath"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                params(**{name: value})
+
     def test_detunings_and_drives_any_sign(self):
         p = params(delta_c=-3e5, delta_e=4e5, eps_c=-100.0)
         assert p.delta_e == 4e5

@@ -1,6 +1,7 @@
 """Sweep configuration, grid execution, CSV determinism."""
 
 import math
+import sys
 import textwrap
 from dataclasses import astuple
 
@@ -78,6 +79,11 @@ class TestAxisSpec:
         with pytest.raises(ConfigError, match="did you mean 'kappa_c'"):
             AxisSpec("kapa_c", 0.0, 1.0, 3)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ConfigError, match="must be finite"):
+            AxisSpec("delta", *bounds, 3)
+
     def test_count_and_log_validation(self):
         with pytest.raises(ConfigError, match="count"):
             AxisSpec("delta", 0.0, 1.0, 1)
@@ -153,6 +159,16 @@ class TestParseConfig:
     def test_axes_not_a_list(self):
         with pytest.raises(ConfigError, match="axes must be a list"):
             parse_config("axes: 5\n")
+
+    def test_count_must_be_integral(self):
+        bad = "axes:\n  - name: delta\n    min: 0\n    max: 1\n    count: 3.9\n"
+        with pytest.raises(ConfigError, match=r"axes\[0\].count must be a whole number, got 3.9"):
+            parse_config(bad)
+        assert parse_config(bad.replace("3.9", "3.0")).axes[0].count == 3
+
+    def test_levels_must_be_integral(self):
+        with pytest.raises(ConfigError, match="truncations.effective must be a whole number, got 3.7"):
+            parse_config(MINIMAL + "truncations:\n  effective: [3.7, 3]\n")
 
     def test_axis_bound_not_a_number(self):
         bad = "axes:\n  - name: delta\n    min: 0\n    max: x\n    count: 5\n"
@@ -314,17 +330,6 @@ class TestRunSweep:
         b = run_sweep(spec).to_csv()
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        spec = SweepSpec(
-            axes=(AxisSpec("delta", -3.0e5, 3.0e5, 7),),
-            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=2.0e5, eps_c=5e3, eps_e=5e3),
-            tiers=("analytic", "master_effective"),
-            trunc_effective=(4, 4),
-        )
-        serial = run_sweep(spec, threads=1).to_csv()
-        parallel = run_sweep(spec, threads=3).to_csv()
-        assert serial == parallel
-
     def test_master_effective_tier_values(self):
         spec = SweepSpec(
             axes=(AxisSpec("delta", -1.0e5, -1.0e5 + 1.0, 2),),
@@ -425,6 +430,22 @@ class TestGridTiers:
         kappa_e, gamma = (f"error:ValueError:{f} must be nonnegative" for f in ("kappa_e", "gamma"))
         assert statuses[:3] == [kappa_e, gamma, kappa_e]
         assert statuses[3] == evaluate_point(spec.point_params((1.0, 1.0)), spec.tiers)[0].status
+
+    def test_non_finite_grid_value_gives_error_row(self):
+        # a log axis up to the largest float overflows to inf at its last point
+        spec = SweepSpec(
+            axes=(AxisSpec("kappa", 5.0e3, sys.float_info.max, 2, "log"),),
+            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, eps_c=5e3, eps_e=5e3),
+            tiers=("analytic", "semiclassical"),
+        )
+        with np.errstate(over="ignore"):
+            first, last = spec.axes[0].values().tolist()
+            rows = run_sweep(spec).rows
+        assert last == math.inf
+        assert [r.status for r in rows[2:]] == ["error:ValueError:kappa_c must be finite"] * 2
+        assert [astuple(r) for r in rows[:2]] == [
+            astuple(r) for r in evaluate_point(spec.point_params((first,)), spec.tiers, axis_values=(first,))
+        ]
 
     def test_master_tier_rows_at_invalid_points(self):
         spec = SweepSpec(
