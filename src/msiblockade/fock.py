@@ -1,8 +1,7 @@
 """Truncated multimode Fock spaces and the complex operator algebra on them.
 
-Operators are stored dense (numpy) for small spaces and sparse (CSR) for
-large ones; both representations go through the same code paths and agree
-entrywise. All values are immutable after construction.
+Operators are stored as dense complex ndarrays. All values are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-
-# total dimension above which operators default to sparse storage
-DENSE_LIMIT = 256
 
 
 class SpaceMismatchError(ValueError):
@@ -84,8 +80,8 @@ def _same_space(a: "OperatorMatrix", b) -> None:
 class OperatorMatrix:
     """A complex matrix acting on a :class:`HilbertSpace`.
 
-    Thin wrapper around either an ndarray or a CSR matrix; arithmetic keeps
-    the representation (mixed operands are promoted to sparse).
+    Thin wrapper around a dense complex ndarray, ``data``; a scipy sparse
+    matrix given to the constructor is converted with ``toarray()``.
     """
 
     __slots__ = ("space", "data")
@@ -94,41 +90,17 @@ class OperatorMatrix:
         if data.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {data.shape} does not match space dim {space.dim}")
         self.space = space
-        if sp.issparse(data):
-            self.data = data.tocsr().astype(complex)
-        else:
-            self.data = np.asarray(data, dtype=complex)
-
-    # -- representation ----------------------------------------------------
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.data)
-
-    def to_dense(self) -> "OperatorMatrix":
-        if self.is_sparse:
-            return OperatorMatrix(self.space, self.data.toarray())
-        return self
-
-    def to_sparse(self) -> "OperatorMatrix":
-        if self.is_sparse:
-            return self
-        return OperatorMatrix(self.space, sp.csr_matrix(self.data))
-
-    def dense_array(self) -> np.ndarray:
-        return self.data.toarray() if self.is_sparse else self.data
+        self.data = np.asarray(data.toarray() if sp.issparse(data) else data, dtype=complex)
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _same_space(self, other)
-        a, b = _align(self, other)
-        return OperatorMatrix(self.space, a + b)
+        return OperatorMatrix(self.space, self.data + other.data)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _same_space(self, other)
-        a, b = _align(self, other)
-        return OperatorMatrix(self.space, a - b)
+        return OperatorMatrix(self.space, self.data - other.data)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.data * complex(scalar))
@@ -140,8 +112,7 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         _same_space(self, other)
-        a, b = _align(self, other)
-        return OperatorMatrix(self.space, a @ b)
+        return OperatorMatrix(self.space, self.data @ other.data)
 
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.space, self.data.conj().T)
@@ -156,23 +127,11 @@ class OperatorMatrix:
         return max_abs(self - self.dag()) < tol
 
     def trace(self) -> complex:
-        if self.is_sparse:
-            return complex(self.data.diagonal().sum())
         return complex(np.trace(self.data))
 
 
-def _align(a: OperatorMatrix, b: OperatorMatrix):
-    """Promote mixed dense/sparse operand pairs to a common representation."""
-    if a.is_sparse == b.is_sparse:
-        return a.data, b.data
-    return a.to_sparse().data, b.to_sparse().data
-
-
 def max_abs(op: OperatorMatrix) -> float:
-    d = op.data
-    if sp.issparse(d):
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-    return float(np.max(np.abs(d))) if d.size else 0.0
+    return float(np.max(np.abs(op.data)))
 
 
 def max_abs_diff(a: OperatorMatrix, b: OperatorMatrix) -> float:
@@ -182,12 +141,6 @@ def max_abs_diff(a: OperatorMatrix, b: OperatorMatrix) -> float:
 # -- operator builders -----------------------------------------------------
 
 
-def _want_sparse(space: HilbertSpace, sparse: bool | None) -> bool:
-    if sparse is None:
-        return space.dim >= DENSE_LIMIT
-    return sparse
-
-
 def occupations(space: HilbertSpace, mode: int) -> np.ndarray:
     """Occupation number of ``mode`` in each product basis state, in basis order."""
     d = space.mode_dims[space.check_mode(mode)]
@@ -195,18 +148,15 @@ def occupations(space: HilbertSpace, mode: int) -> np.ndarray:
     return np.arange(space.dim) // stride % d
 
 
-def _build(space: HilbertSpace, rows, cols, values, sparse: bool | None) -> OperatorMatrix:
-    """Operator with ``values`` at (rows, cols), one entry per row at most; rows increasing."""
+def _build(space: HilbertSpace, rows, cols, values) -> OperatorMatrix:
+    """Operator with ``values`` at (rows, cols) and zeros elsewhere."""
     n = space.dim
-    if _want_sparse(space, sparse):
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        return OperatorMatrix(space, sp.csr_matrix((values.astype(complex), cols, indptr), shape=(n, n)))
     data = np.zeros((n, n), dtype=complex)
     data[rows, cols] = values
     return OperatorMatrix(space, data)
 
 
-def annihilation(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
+def annihilation(space: HilbertSpace, mode: int) -> OperatorMatrix:
     """Ladder operator a with <n-1|a|n> = sqrt(n), embedded at ``mode``.
 
     Built in one step from each basis state's occupation: row r holds
@@ -216,34 +166,32 @@ def annihilation(space: HilbertSpace, mode: int, sparse: bool | None = None) -> 
     occ = occupations(space, mode)
     stride = math.prod(space.mode_dims[mode + 1:])
     rows = np.flatnonzero(occ < space.mode_dims[mode] - 1)
-    return _build(space, rows, rows + stride, np.sqrt(occ[rows] + 1.0), sparse)
+    return _build(space, rows, rows + stride, np.sqrt(occ[rows] + 1.0))
 
 
-def creation(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
-    return annihilation(space, mode, sparse).dag()
+def creation(space: HilbertSpace, mode: int) -> OperatorMatrix:
+    return annihilation(space, mode).dag()
 
 
-def number(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
+def number(space: HilbertSpace, mode: int) -> OperatorMatrix:
     occ = occupations(space, mode)
     rows = np.flatnonzero(occ)
-    return _build(space, rows, rows, occ[rows].astype(float), sparse)
+    return _build(space, rows, rows, occ[rows].astype(float))
 
 
-def identity(space: HilbertSpace, sparse: bool | None = None) -> OperatorMatrix:
-    eye = sp.identity(space.dim, format="csr", dtype=complex)
-    result = OperatorMatrix(space, eye)
-    return result if _want_sparse(space, sparse) else result.to_dense()
+def identity(space: HilbertSpace) -> OperatorMatrix:
+    return OperatorMatrix(space, np.eye(space.dim, dtype=complex))
 
 
-def displacement_q(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
+def displacement_q(space: HilbertSpace, mode: int) -> OperatorMatrix:
     """Dimensionless displacement Q = b + b^dag."""
-    b = annihilation(space, mode, sparse)
+    b = annihilation(space, mode)
     return b + b.dag()
 
 
-def momentum_p(space: HilbertSpace, mode: int, sparse: bool | None = None) -> OperatorMatrix:
+def momentum_p(space: HilbertSpace, mode: int) -> OperatorMatrix:
     """Dimensionless momentum P = -i (b - b^dag); [Q, P] = 2i before truncation."""
-    b = annihilation(space, mode, sparse)
+    b = annihilation(space, mode)
     return -1j * (b - b.dag())
 
 
@@ -322,8 +270,5 @@ def expectation(op: OperatorMatrix, state) -> complex:
     if hasattr(state, "matrix") and hasattr(state, "space"):
         if op.space != state.space:
             raise SpaceMismatchError("operator and state live on different spaces")
-        prod = op.data @ state.matrix
-        if sp.issparse(prod):
-            return complex(prod.diagonal().sum())
-        return complex(np.trace(prod))
+        return complex(np.trace(op.data @ state.matrix))
     raise TypeError(f"cannot take expectation in {type(state).__name__}")

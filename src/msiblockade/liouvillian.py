@@ -79,23 +79,6 @@ class DensityMatrix:
             raise ValueError("cannot normalize a traceless matrix")
         return DensityMatrix(self.space, self.matrix / tr)
 
-    def cleaned(self, clip: float = 1e-8) -> "DensityMatrix":
-        """Reporting-time cleanup: hermitize, clip eigenvalues in [-clip, 0), renormalize."""
-        herm = 0.5 * (self.matrix + self.matrix.conj().T)
-        vals, vecs = sla.eigh(herm)
-        if np.min(vals) < -clip:
-            raise ValueError(f"state is unphysical: eigenvalue {np.min(vals):.3e} < -{clip:.0e}")
-        vals = np.clip(vals, 0.0, None)
-        out = (vecs * vals) @ vecs.conj().T
-        return DensityMatrix(self.space, out / np.trace(out))
-
-    def is_physical(self, tol_herm: float = 1e-10, tol_trace: float = 1e-10, tol_pos: float = 1e-8) -> bool:
-        return (
-            self.hermiticity_defect() < tol_herm
-            and abs(self.trace() - 1.0) < tol_trace
-            and self.min_eigenvalue() >= -tol_pos
-        )
-
 
 def vacuum_state(space: HilbertSpace) -> DensityMatrix:
     m = np.zeros((space.dim, space.dim), dtype=complex)
@@ -163,12 +146,12 @@ class Superoperator:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The superoperator, assembled from Kronecker products on first read."""
-        Hs =self.hamiltonian.to_sparse().data
+        Hs = sp.csr_matrix(self.hamiltonian.data)
         eye = sp.identity(self.space.dim, format="csr", dtype=complex)
         right = Hs if self.convention == "commutator" else Hs.conj().T
         L = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(right.T, eye, format="csr"))
         for o in self.collapse_ops:
-            od = o.to_sparse().data
+            od = sp.csr_matrix(o.data)
             odo = od.conj().T @ od
             L = L + sp.kron(od.conj(), od, format="csr")
             L = L - 0.5 * (sp.kron(eye, odo, format="csr") + sp.kron(odo.T, eye, format="csr"))
@@ -271,9 +254,9 @@ def _generator(L: Superoperator):
     ``jumps`` are the collapse operators in CSR form; ``scale`` is max |L|
     (:func:`_entry_scale`), floored at 1e-300 for use as a divisor.
     """
-    H = L.hamiltonian.dense_array()
+    H = L.hamiltonian.data
     R = H if L.convention == "commutator" else H.conj().T
-    jumps = [o.to_sparse().data for o in L.collapse_ops]
+    jumps = [sp.csr_matrix(o.data) for o in L.collapse_ops]
     K = [o.conj().T @ o for o in jumps]
     decay = sum(K, sp.csr_matrix(H.shape, dtype=complex)).toarray()
     scale = max(_entry_scale(H, R, jumps, [k.toarray() for k in K]), 1e-300)
@@ -340,6 +323,11 @@ def _steady_direct(L: Superoperator) -> SteadyStateResult:
 # At the limit the eigenbasis residual is about 20 times below 1e-10.
 EIGENBASIS_COND_LIMIT = 1e3
 
+# ARPACK's relative accuracy (0: machine precision) and its cap on Arnoldi
+# restarts in the Krylov steady state
+KRYLOV_TOL = 0.0
+KRYLOV_MAXITER = 10_000
+
 
 def _sylvester_inverse(P: np.ndarray, Q: np.ndarray, convention: str):
     """(solve, branch): solve(C) is the X with P X + X Q = -C.
@@ -381,7 +369,7 @@ def _sylvester_inverse(P: np.ndarray, Q: np.ndarray, convention: str):
     return solve, "schur"
 
 
-def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateResult:
+def _steady_krylov(L: Superoperator) -> SteadyStateResult:
     if not L.collapse_ops:
         raise SteadyStateError("no dissipation: the steady manifold is degenerate")
     N = L.space.dim
@@ -401,7 +389,7 @@ def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateRes
         Mop = spla.LinearOperator((N * N, N * N), matvec=apply_m, dtype=complex)
         v0 = np.eye(N, dtype=complex).ravel() / N
         try:
-            w, v = spla.eigs(Mop, k=1, which="LM", v0=v0, tol=tol, maxiter=maxiter)
+            w, v = spla.eigs(Mop, k=1, which="LM", v0=v0, tol=KRYLOV_TOL, maxiter=KRYLOV_MAXITER)
         except spla.ArpackNoConvergence as exc:
             raise SteadyStateError(f"Krylov steady-state iteration did not converge: {exc}") from exc
         # ARPACK's Ritz vector keeps rounding-level error along M's other
@@ -418,12 +406,7 @@ def _steady_krylov(L: Superoperator, tol: float, maxiter: int) -> SteadyStateRes
     return _finish(L.space, x.reshape(N, N), P, Q, jumps, scale, "krylov", notes)
 
 
-def steady_state(
-    L: Superoperator,
-    method: str = "auto",
-    tol: float = 0.0,
-    maxiter: int = 10_000,
-) -> SteadyStateResult:
+def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     """Solve L vec(rho) = 0 with unit trace.
 
     ``direct`` replaces one row with the trace constraint and LU-factors;
@@ -452,7 +435,7 @@ def steady_state(
         method = "direct" if L.dim <= DIRECT_LIMIT else "krylov"
     if method == "direct":
         return _steady_direct(L)
-    return _steady_krylov(L, tol, maxiter)
+    return _steady_krylov(L)
 
 
 # -- time evolution ---------------------------------------------------------

@@ -114,6 +114,8 @@ def reduced_rhs(alpha_c: complex, alpha_e: complex, p: SystemParams) -> tuple[co
 # number of Newton steps, depend on that point alone.
 
 NEWTON_MAX_STEPS = 100
+# a Newton iterate stops once its step is at most this times its largest component
+NEWTON_TOL = 1e-12
 
 
 def _complex(re, im):
@@ -198,12 +200,12 @@ def _residual(c, x, jacobian=False):
     return F, jac
 
 
-def reduced_fixed_point_grid(q, tol: float = 1e-12):
+def reduced_fixed_point_grid(q):
     """Fixed points (alpha_c, alpha_e, converged, pole) of the reduced nonlinear system.
 
     Newton's method on the four real unknowns with the exact Jacobian,
     started from :func:`linear_fixed_point_grid`. A point stops when its
-    step is at most ``tol`` times its largest component, when its Jacobian
+    step is at most NEWTON_TOL times its largest component, when its Jacobian
     is singular or its iterate is not finite, or after NEWTON_MAX_STEPS.
     It has converged when its largest residual component is below
     max(|eps_c|, |eps_e|, 1) * 1e-8. At a ``pole`` of the linear seed the
@@ -233,7 +235,7 @@ def reduced_fixed_point_grid(q, tol: float = 1e-12):
             step[movable] = np.linalg.solve(jac[movable], -F[movable, :, None])[:, :, 0]
             xa += step
             x[active] = xa
-            small = np.max(np.abs(step), axis=1) <= tol * np.max(np.abs(xa), axis=1)
+            small = np.max(np.abs(step), axis=1) <= NEWTON_TOL * np.max(np.abs(xa), axis=1)
             active = active[movable & ~small & np.isfinite(xa).all(axis=1)]
         residual = np.max(np.abs(_residual(c, x)), axis=1)
     scale = np.maximum(np.maximum(np.abs(q["eps_c"]), np.abs(q["eps_e"])), 1.0)
@@ -241,11 +243,11 @@ def reduced_fixed_point_grid(q, tol: float = 1e-12):
     return _complex(x[:, 0], x[:, 1]), _complex(x[:, 2], x[:, 3]), converged, pole
 
 
-def reduced_fixed_point(p: SystemParams, tol: float = 1e-12) -> tuple[complex, complex, bool]:
+def reduced_fixed_point(p: SystemParams) -> tuple[complex, complex, bool]:
     """Fixed point of the reduced nonlinear system.
 
     Newton iteration seeded from the linear solution; returns
     (alpha_c, alpha_e, converged). One point of :func:`reduced_fixed_point_grid`.
     """
-    ac, ae, converged, _ = reduced_fixed_point_grid(p.as_arrays(), tol)
+    ac, ae, converged, _ = reduced_fixed_point_grid(p.as_arrays())
     return complex(ac[0]), complex(ae[0]), bool(converged[0])

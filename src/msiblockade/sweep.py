@@ -93,6 +93,9 @@ class AxisSpec:
         for bound, value in (("min", self.min), ("max", self.max)):
             if not math.isfinite(value):
                 raise ConfigError(f"axis {self.name!r}: {bound} must be finite, got {value}")
+        if not math.isfinite(float(self.max) - float(self.min)):
+            # np.linspace would overflow to [nan, inf, ...] between finite bounds
+            raise ConfigError(f"axis {self.name!r}: max - min must be finite, got {self.max} - {self.min}")
         if self.count < 2:
             raise ConfigError(f"axis {self.name!r}: count must be >= 2, got {self.count}")
         if self.scale not in ("linear", "log"):

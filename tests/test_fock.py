@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from msiblockade.fock import (
-    DENSE_LIMIT,
     HilbertSpace,
     OperatorMatrix,
     SpaceMismatchError,
@@ -77,7 +76,7 @@ class TestLadderOperators:
     def test_annihilation_matrix_element(self):
         # dim-3 mode: a|2> = sqrt(2)|1>
         s = make_space([3])
-        a = annihilation(s, 0).dense_array()
+        a = annihilation(s, 0).data
         assert a[1, 2] == pytest.approx(math.sqrt(2))
         # a|0> = 0
         assert np.allclose(a[:, 0], 0.0)
@@ -85,7 +84,7 @@ class TestLadderOperators:
     def test_embedded_annihilation_second_mode(self):
         # two-mode [3,3], mode 1: a_1|0,2> = sqrt(2)|0,1>
         s = make_space([3, 3])
-        a1 = annihilation(s, 1).dense_array()
+        a1 = annihilation(s, 1).data
         col = s.basis_index((0, 2))
         row = s.basis_index((0, 1))
         expected = np.zeros(9)
@@ -97,7 +96,7 @@ class TestLadderOperators:
 
     def test_number_diagonal(self):
         s = make_space([4])
-        assert np.allclose(number(s, 0).dense_array(), np.diag([0.0, 1.0, 2.0, 3.0]))
+        assert np.allclose(number(s, 0).data, np.diag([0.0, 1.0, 2.0, 3.0]))
 
     def test_creation_is_adjoint(self):
         s = make_space([5])
@@ -114,13 +113,13 @@ class TestLadderOperators:
         s = make_space([4])
         q = displacement_q(s, 0)
         assert q.is_hermitian()
-        assert q.dense_array()[1, 0] == pytest.approx(1.0)
+        assert q.data[1, 0] == pytest.approx(1.0)
 
     def test_qp_commutator_truncation(self):
         # [Q, P] = 2i on levels 0..N-2; deviant corner from truncation
         s = make_space([5])
         q, p = displacement_q(s, 0), momentum_p(s, 0)
-        comm = (q @ p - p @ q).dense_array()
+        comm = (q @ p - p @ q).data
         expected = 2j * np.eye(5)
         expected[4, 4] = -2j * 4  # truncated corner
         assert np.allclose(comm, expected)
@@ -137,7 +136,7 @@ class TestCombine:
         s = make_space([4])
         a = annihilation(s, 0)
         comm = combine(a, a.dag(), "commutator")
-        assert np.allclose(comm.dense_array(), np.diag([1.0, 1.0, 1.0, -3.0]))
+        assert np.allclose(comm.data, np.diag([1.0, 1.0, 1.0, -3.0]))
 
     def test_adjoint_of_scaled(self):
         s = make_space([3])
@@ -191,27 +190,15 @@ class TestEmbeddingProperties:
         n_direct = number(s, 0)
         assert max_abs_diff(n_embedded_product, n_direct) < 1e-14
 
-    def test_sparse_dense_parity(self):
-        s = make_space([4, 4])
-        for build in (annihilation, creation, number, displacement_q, momentum_p):
-            dense = build(s, 1, sparse=False)
-            sparse = build(s, 1, sparse=True)
-            assert not dense.is_sparse and sparse.is_sparse
-            assert np.max(np.abs(dense.dense_array() - sparse.dense_array())) <= 1e-12
+    def test_sparse_option_removed(self):
+        with pytest.raises(TypeError):
+            annihilation(make_space([4, 4]), 0, sparse=True)
 
-    def test_sparse_dense_parity_arithmetic(self):
+    def test_sparse_input_stored_dense(self):
         s = make_space([4, 4])
-        ad = annihilation(s, 0, sparse=False)
-        asp = annihilation(s, 0, sparse=True)
-        lhs = (ad.dag() @ ad + 2.0 * ad).dense_array()
-        rhs = (asp.dag() @ asp + 2.0 * asp).dense_array()
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-    def test_default_representation_threshold(self):
-        small = make_space([6, 6])
-        assert not annihilation(small, 0).is_sparse
-        big = make_space([16, 16])
-        assert big.dim >= DENSE_LIMIT and annihilation(big, 0).is_sparse
+        op = OperatorMatrix(s, sp.identity(s.dim, format="csr"))
+        assert type(op.data) is np.ndarray and op.data.dtype == complex
+        assert max_abs_diff(op, identity(s)) == 0.0
 
 
 class TestStatesAndExpectation:
@@ -248,32 +235,27 @@ class TestStatesAndExpectation:
             expectation(number(make_space([3]), 0), basis_state(make_space([4]), (0,)))
 
 
-def kron_chain(space, mode, single, sparse):
+def kron_chain(space, mode, single):
     """Reference builder: Kronecker-embed a single-mode matrix, identities elsewhere."""
     op = None
     for k, d in enumerate(space.mode_dims):
         factor = single if k == mode else sp.identity(d, format="csr", dtype=complex)
         op = factor if op is None else sp.kron(op, factor, format="csr")
-    result = OperatorMatrix(space, op)
-    want_sparse = space.dim >= DENSE_LIMIT if sparse is None else sparse
-    return result if want_sparse else result.to_dense()
+    return OperatorMatrix(space, op)
 
 
-def reference_ladder(space, mode, sparse):
+def reference_ladder(space, mode):
     d = space.mode_dims[mode]
-    return kron_chain(space, mode, sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr", dtype=complex), sparse)
+    return kron_chain(space, mode, sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr", dtype=complex))
 
 
-def reference_number(space, mode, sparse):
+def reference_number(space, mode):
     d = space.mode_dims[mode]
-    return kron_chain(space, mode, sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex), sparse)
+    return kron_chain(space, mode, sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex))
 
 
 def storage_bytes(op):
-    """Every array an operator stores, with its dtype, for a byte-for-byte comparison."""
-    if op.is_sparse:
-        d = op.data
-        return [(a.dtype.str, a.shape, a.tobytes()) for a in (d.data, d.indices, d.indptr)]
+    """The array an operator stores, with its dtype, for a byte-for-byte comparison."""
     return [(op.data.dtype.str, op.data.shape, op.data.tobytes())]
 
 
@@ -284,17 +266,15 @@ class TestDirectBuilders:
     """Ladder and number operators are built from occupations, not Kronecker chains."""
 
     @pytest.mark.parametrize("dims", DIRECT_BUILD_SPACES)
-    @pytest.mark.parametrize("sparse", [None, False, True])
-    def test_byte_identical_to_kron_chain(self, dims, sparse):
+    def test_byte_identical_to_kron_chain(self, dims):
         s = make_space(dims)
         for mode in range(s.n_modes):
             pairs = (
-                (annihilation(s, mode, sparse), reference_ladder(s, mode, sparse)),
-                (creation(s, mode, sparse), reference_ladder(s, mode, sparse).dag()),
-                (number(s, mode, sparse), reference_number(s, mode, sparse)),
+                (annihilation(s, mode), reference_ladder(s, mode)),
+                (creation(s, mode), reference_ladder(s, mode).dag()),
+                (number(s, mode), reference_number(s, mode)),
             )
             for built, ref in pairs:
-                assert built.is_sparse == ref.is_sparse
                 assert storage_bytes(built) == storage_bytes(ref)
 
     def test_occupations_follow_basis_index(self):
@@ -307,8 +287,8 @@ class TestDirectBuilders:
 def trace_form_statistics(rho, mode):
     """mode_statistics as Tr(n rho) and Tr(a^dag a^dag a a rho) with the assembled operators."""
     a = annihilation(rho.space, mode)
-    n = float(np.real(np.trace(number(rho.space, mode).dense_array() @ rho.matrix)))
-    quad = (a.dag() @ a.dag() @ a @ a).dense_array()
+    n = float(np.real(np.trace(number(rho.space, mode).data @ rho.matrix)))
+    quad = (a.dag() @ a.dag() @ a @ a).data
     g2_num = float(np.real(np.trace(quad @ rho.matrix)))
     if n <= 0.0:
         return max(n, 0.0), float("inf")

@@ -112,7 +112,7 @@ class TestEffectiveHamiltonian:
         # a^dag a^dag a a on |n_c=2> has eigenvalue 2: diagonal shift -G/(2 omega_m) * 2
         p = params()
         s = make_space([4, 4])
-        H = build_effective_hamiltonian(p, s).dense_array()
+        H = build_effective_hamiltonian(p, s).data
         i20 = s.basis_index((2, 0))
         i10 = s.basis_index((1, 0))
         G = derived_couplings(p).G
@@ -162,7 +162,7 @@ class TestFullHamiltonian:
         # +g_omega Q n_c: <1,0,1|H|1,0,0> picks up g_omega <1|Q|0> = g_omega
         p = params(J=0.0, eps_c=0.0, eps_e=0.0)
         s = make_space([3, 2, 3])
-        H = build_full_hamiltonian(p, s).dense_array()
+        H = build_full_hamiltonian(p, s).data
         i = s.basis_index((1, 0, 1))
         j = s.basis_index((1, 0, 0))
         assert H[i, j] == pytest.approx(p.g_omega)
@@ -201,7 +201,7 @@ class TestCollapseOps:
         # (sqrt(kc) + g_k/(2 sqrt(kc)) Q) a_c: first-order amplitude on one photon
         p = params(gamma=0.0)
         s = make_space([3, 2, 3])
-        op = build_collapse_ops(p, s, "displacement_modified")[0].dense_array()
+        op = build_collapse_ops(p, s, "displacement_modified")[0].data
         # <0,0,0| O |1,0,0> = sqrt(kc); <0,0,1| O |1,0,0> = g_k/(2 sqrt(kc))
         r0 = s.basis_index((0, 0, 0))
         r1 = s.basis_index((0, 0, 1))

@@ -79,7 +79,9 @@ class TestAxisSpec:
         with pytest.raises(ConfigError, match="did you mean 'kappa_c'"):
             AxisSpec("kapa_c", 0.0, 1.0, 3)
 
-    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    @pytest.mark.parametrize(
+        "bounds", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (-1.0e308, 1.0e308)]
+    )
     def test_non_finite_bounds_rejected(self, bounds):
         with pytest.raises(ConfigError, match="must be finite"):
             AxisSpec("delta", *bounds, 3)
