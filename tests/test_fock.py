@@ -235,23 +235,34 @@ class TestStatesAndExpectation:
             expectation(number(make_space([3]), 0), basis_state(make_space([4]), (0,)))
 
 
-def kron_chain(space, mode, single):
-    """Reference builder: Kronecker-embed a single-mode matrix, identities elsewhere."""
+def kron_chain(space, mode, single, sparse_chain):
+    """Reference builder: Kronecker-embed a single-mode matrix, identities elsewhere.
+
+    ``sparse_chain`` says how the chain reaches the dense ``OperatorMatrix``:
+    True hands over the scipy CSR product as it is, None densifies it first, and
+    False builds it from ndarray factors with ``np.kron``.
+    """
     op = None
     for k, d in enumerate(space.mode_dims):
-        factor = single if k == mode else sp.identity(d, format="csr", dtype=complex)
-        op = factor if op is None else sp.kron(op, factor, format="csr")
-    return OperatorMatrix(space, op)
+        if sparse_chain is False:
+            factor = single.toarray() if k == mode else np.eye(d, dtype=complex)
+            op = factor if op is None else np.kron(op, factor)
+        else:
+            factor = single if k == mode else sp.identity(d, format="csr", dtype=complex)
+            op = factor if op is None else sp.kron(op, factor, format="csr")
+    return OperatorMatrix(space, op.toarray() if sparse_chain is None else op)
 
 
-def reference_ladder(space, mode):
+def reference_ladder(space, mode, sparse_chain):
     d = space.mode_dims[mode]
-    return kron_chain(space, mode, sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr", dtype=complex))
+    single = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr", dtype=complex)
+    return kron_chain(space, mode, single, sparse_chain)
 
 
-def reference_number(space, mode):
+def reference_number(space, mode, sparse_chain):
     d = space.mode_dims[mode]
-    return kron_chain(space, mode, sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex))
+    single = sp.diags(np.arange(d, dtype=float), 0, format="csr", dtype=complex)
+    return kron_chain(space, mode, single, sparse_chain)
 
 
 def storage_bytes(op):
@@ -266,13 +277,14 @@ class TestDirectBuilders:
     """Ladder and number operators are built from occupations, not Kronecker chains."""
 
     @pytest.mark.parametrize("dims", DIRECT_BUILD_SPACES)
-    def test_byte_identical_to_kron_chain(self, dims):
+    @pytest.mark.parametrize("sparse_chain", [None, False, True])
+    def test_byte_identical_to_kron_chain(self, dims, sparse_chain):
         s = make_space(dims)
         for mode in range(s.n_modes):
             pairs = (
-                (annihilation(s, mode), reference_ladder(s, mode)),
-                (creation(s, mode), reference_ladder(s, mode).dag()),
-                (number(s, mode), reference_number(s, mode)),
+                (annihilation(s, mode), reference_ladder(s, mode, sparse_chain)),
+                (creation(s, mode), reference_ladder(s, mode, sparse_chain).dag()),
+                (number(s, mode), reference_number(s, mode, sparse_chain)),
             )
             for built, ref in pairs:
                 assert storage_bytes(built) == storage_bytes(ref)
