@@ -3,30 +3,32 @@
 Column-stacking convention throughout: vec(A rho B) = (B^T kron A) vec(rho).
 A :class:`Superoperator` holds the Hamiltonian and the collapse operators;
 its CSR ``matrix`` is assembled from Kronecker products only when read
-(by the sparse-LU steady state, :func:`evolve`, ``apply`` and
-``trace_preservation_defect``) and then cached. Steady states are solved
-directly (trace-row replacement + sparse LU) for small superoperators;
-above ``DIRECT_LIMIT`` a matrix-free Krylov method is used that never
-forms the superoperator: the Liouvillian is split into its
-non-Hermitian-evolution part L0 X = P X + X Q (P = -i H - D/2, Q =
-i H_right - D/2, so Q = P^H for ``sandwich``) and the jump part
-sum_k o_k X o_k^H, and the steady state is recovered as the dominant
-eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each application of M
-applies the jumps as sparse (CSR) operators and inverts L0 as a Sylvester
-equation in the eigenbases of P and Q (four dense products), falling back
-to a Schur-factored ``trsyl`` solve when either eigenvector matrix's
-condition number exceeds ``EIGENBASIS_COND_LIMIT``. Two power steps
-x <- M x polish ARPACK's Ritz vector before the residual is taken. The Krylov solve runs with the
-bundled OpenBLAS libraries at one thread (``blas.single_thread``); the
-caller's thread counts are restored when it returns or raises. Both
-solvers take the residual from the factors, L rho = P rho + rho Q +
-sum_o o rho o^H, and its scale max|L| from the entry formula
+(by :func:`evolve`, ``apply`` and ``trace_preservation_defect``) and then
+cached; no steady-state solver reads it. Both solvers work from the split
+L rho = P rho + rho Q + sum_o o rho o^H, with P = -i H - D/2, Q =
+i H_right - D/2 (so Q = P^H for ``sandwich``) and D = sum_o o^H o.
+
+Steady states of small superoperators are solved directly by RCM-banded
+LU (LAPACK ``gbsv``): the trace-row system is assembled from P, Q and the
+jumps, renumbered by reverse Cuthill-McKee into a band, and factored with
+partial pivoting. Above ``DIRECT_LIMIT`` a matrix-free Krylov method is
+used that never forms the superoperator: with L0 X = P X + X Q and the
+jump part sum_k o_k X o_k^H, the steady state is recovered as the
+dominant eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each
+application of M applies the jumps as sparse (CSR) operators and inverts
+L0 as a Sylvester equation in the eigenbases of P and Q (four dense
+products), falling back to a Schur-factored ``trsyl`` solve when either
+eigenvector matrix's condition number exceeds ``EIGENBASIS_COND_LIMIT``.
+Two power steps x <- M x polish ARPACK's Ritz vector before the residual
+is taken. The band LU and the Krylov solve run with the bundled OpenBLAS
+libraries at one thread (``blas.single_thread``); the caller's thread
+counts are restored when they return or raise. Both solvers take the
+residual from the factors and its scale max|L| from the entry formula
 (:func:`_entry_scale`), so neither needs the matrix for it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,12 +38,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import blas
 from .fock import HilbertSpace, OperatorMatrix, occupations
 
 # superoperator dimension above which steady_state switches to the
-# matrix-free Krylov solver (direct LU time grows fast beyond ~10^4)
+# matrix-free Krylov solver. The RCM-banded LU (LAPACK gbsv, one thread)
+# has bandwidth 155, 360 and 695 on the effective model at (6,6), (8,8)
+# and (10,10); a whole direct solve there took 25 ms, 190 ms and 1.4 s
+# (2-vCPU host, best of 2 to 7) with bands of 10, 71 and 334 MB
 DIRECT_LIMIT = 10_000
 
 CONVENTIONS = ("commutator", "sandwich")
@@ -120,10 +126,11 @@ class Superoperator:
     ``sandwich``. Collapse operators carry their sqrt(rate) prefactor.
 
     ``matrix`` is the CSR superoperator of shape (dim^2, dim^2), assembled
-    from Kronecker products on first read and then cached. Only the
-    sparse-LU steady state, :func:`evolve`, :meth:`apply` and
-    :meth:`trace_preservation_defect` read it; the Krylov steady state and
-    every residual work from ``hamiltonian`` and ``collapse_ops``.
+    from Kronecker products on first read and then cached. Only
+    :func:`evolve`, :meth:`apply` and :meth:`trace_preservation_defect`
+    read it; both steady-state solvers (the RCM-banded LU builds its own
+    trace-row system) and every residual work from ``hamiltonian`` and
+    ``collapse_ops``.
     """
 
     space: HilbertSpace
@@ -286,26 +293,56 @@ def _finish(space, rho_raw, P, Q, jumps, scale: float, method: str, notes=()) ->
     return SteadyStateResult(DensityMatrix(space, rho), resid, method, tuple(notes))
 
 
+def _trace_row_system(P, Q, jumps, scale: float) -> sp.coo_matrix:
+    """L / scale with row 0 replaced by the trace constraint, from the factors.
+
+    L = kron(I, P) + kron(Q^T, I) + sum_o kron(conj(o), o) in column
+    stacking; row 0 becomes tr(rho) = 1, ones at (0, k(n+1)).
+    """
+    n = P.shape[0]
+    eye = sp.identity(n, dtype=complex, format="csr")
+    Lm = sp.kron(eye, sp.csr_matrix(P), format="csr") + sp.kron(sp.csr_matrix(Q.T), eye, format="csr")
+    for o in jumps:
+        Lm = Lm + sp.kron(o.conj(), o, format="csr")
+    trace = sp.csr_matrix((np.ones(n, dtype=complex), ([0] * n, np.arange(n) * (n + 1))), shape=(1, n * n))
+    return sp.vstack([trace, (Lm / scale)[1:]], format="coo")
+
+
+def _rcm_band(A: sp.coo_matrix):
+    """(ab, kl, ku, inv): ``A`` renumbered by reverse Cuthill-McKee, in LAPACK band storage.
+
+    Row and column r of ``A`` become inv[r]; the ordering is taken on the
+    symmetrized pattern. Entry (r, c) sits at ab[kl + ku + inv[r] - inv[c],
+    inv[c]] of the Fortran-order array, whose top kl rows stay zero for the
+    fill of ``gbsv``'s row interchanges.
+    """
+    perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=False)
+    inv = np.empty(perm.size, dtype=np.intp)
+    inv[perm] = np.arange(perm.size)
+    r, c = inv[A.row], inv[A.col]
+    kl, ku = int(np.max(r - c)), int(np.max(c - r))
+    ab = np.zeros((2 * kl + ku + 1, perm.size), dtype=complex, order="F")
+    ab[kl + ku + r - c, c] = A.data
+    return ab, kl, ku, inv
+
+
 def _steady_direct(L: Superoperator) -> SteadyStateResult:
-    n = L.space.dim
     P, Q, jumps, scale = _generator(L)
-    A = (L.matrix / scale).tolil()
-    trace_row = np.zeros(n * n, dtype=complex)
-    trace_row[:: n + 1] = 1.0
-    A[0] = trace_row
-    A = A.tocsc()
-    b = np.zeros(n * n, dtype=complex)
-    b[0] = 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", spla.MatrixRankWarning)
-            lu = spla.splu(A)
-    except (RuntimeError, spla.MatrixRankWarning) as exc:
+    ab, kl, ku, inv = _rcm_band(_trace_row_system(P, Q, jumps, scale))
+    # right-hand side: 1 in the trace row, wherever the renumbering put it
+    b = np.zeros(ab.shape[1], dtype=complex)
+    b[inv[0]] = 1.0
+    (gbsv,) = get_lapack_funcs(("gbsv",), (ab, b))
+    with blas.single_thread():
+        _, _, y, info = gbsv(kl, ku, ab, b, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
         raise SteadyStateError(
             "trace-constrained system is singular: the steady manifold is "
-            f"degenerate beyond trace normalization ({exc})"
-        ) from exc
-    x = lu.solve(b)
+            f"degenerate beyond trace normalization (gbsv zero pivot {info})"
+        )
+    if info < 0:
+        raise ValueError(f"gbsv rejected argument {-info}")
+    x = y[inv]
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("direct solve produced non-finite entries (singular system)")
     return _finish(L.space, devectorize(x, L.space).matrix, P, Q, jumps, scale, "direct")
@@ -409,14 +446,17 @@ def _steady_krylov(L: Superoperator) -> SteadyStateResult:
 def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     """Solve L vec(rho) = 0 with unit trace.
 
-    ``direct`` replaces one row with the trace constraint and LU-factors;
+    ``direct`` replaces one row with the trace constraint and LU-factors
+    the system by RCM-banded LU (LAPACK ``gbsv``, partial pivoting, one
+    OpenBLAS thread; the band takes 16 (3 kl + 1) L.dim bytes, 10 MB at
+    (6,6), 334 MB at (10,10) and 2 GB on ``master_full`` at (4,4,8));
     ``krylov`` is the matrix-free Sylvester/Arnoldi path for large spaces
     (Sylvester solves P X + X Q = -C in the eigenbases of P and Q, or
     through their Schur forms when an eigenvector matrix has condition
     number above ``EIGENBASIS_COND_LIMIT``; ARPACK's eigenvector polished
     by two power steps; one OpenBLAS thread for the whole solve, the
     caller's thread counts restored afterwards); ``auto`` picks by
-    superoperator dimension. Only ``direct`` assembles ``L.matrix``. The
+    superoperator dimension. Neither reads ``L.matrix``. The
     residual is ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to
     the operator scale (raw Liouvillian entries are of order omega_m, so an
     absolute residual would just restate the frequency units). Both methods

@@ -123,3 +123,37 @@ class TestKrylovBudget:
         with pytest.raises(SteadyStateError):
             steady_state(small_liouvillian(), method="krylov")
         assert [lib.get_num_threads() for lib in two_threads] == [2] * len(two_threads)
+
+
+class TestDirectBudget:
+    @staticmethod
+    def spy_gbsv(monkeypatch, body):
+        lapack = liouvillian.get_lapack_funcs
+
+        def spy(names, arrays):
+            (gbsv,) = lapack(names, arrays)
+            return (lambda *args, **kwargs: body(gbsv, *args, **kwargs),)
+
+        monkeypatch.setattr(liouvillian, "get_lapack_funcs", spy)
+
+    def test_direct_solve_runs_single_threaded_and_restores(self, two_threads, monkeypatch):
+        seen = []
+
+        def record(gbsv, *args, **kwargs):
+            seen.append([lib.get_num_threads() for lib in two_threads])
+            return gbsv(*args, **kwargs)
+
+        self.spy_gbsv(monkeypatch, record)
+        res = steady_state(small_liouvillian(), method="direct")
+        assert res.method == "direct"
+        assert seen == [[1] * len(two_threads)]
+        assert [lib.get_num_threads() for lib in two_threads] == [2] * len(two_threads)
+
+    def test_failed_direct_solve_restores(self, two_threads, monkeypatch):
+        def fail(gbsv, *args, **kwargs):
+            raise RuntimeError("gbsv failed")
+
+        self.spy_gbsv(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="gbsv failed"):
+            steady_state(small_liouvillian(), method="direct")
+        assert [lib.get_num_threads() for lib in two_threads] == [2] * len(two_threads)

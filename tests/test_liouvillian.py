@@ -201,9 +201,69 @@ class TestMatrixFreeFactors:
         krylov = steady_state(L, method="krylov")
         assert "matrix" not in vars(L)
         direct = steady_state(L, method="direct")
-        assert "matrix" in vars(L) and L.matrix is L.matrix
+        assert "matrix" not in vars(L)
         assert np.max(np.abs(direct.state.matrix - krylov.state.matrix)) < 1e-9
         assert max(direct.residual, krylov.residual) <= 1e-10
+
+
+def trace_row_reference(L):
+    """The trace-row system from the assembled matrix: L / max|L|, row 0 -> tr(rho) = 1."""
+    n = L.space.dim
+    A = (L.matrix / abs(L.matrix).max()).toarray()
+    A[0] = 0.0
+    A[0, :: n + 1] = 1.0
+    return A
+
+
+class TestBandedDirect:
+    """The direct solve: trace-row system from the factors, RCM-banded, LAPACK gbsv."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda convention: effective_liouvillian(fig3_params(g_kappa=500.0), (3, 3), convention),
+            lambda convention: effective_liouvillian(fig3_params(g_kappa=500.0), (4, 4), convention),
+            # H and jumps neither Hermitian nor symmetric: a transposed factor shows
+            lambda convention: random_model(0, (3, 3), convention),
+        ],
+        ids=["effective-3-3", "effective-4-4", "random-3-3"],
+    )
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_band_unpermuted_equals_trace_row_matrix(self, build, convention):
+        L = build(convention)
+        ab, kl, ku, inv = liouvillian._rcm_band(liouvillian._trace_row_system(*liouvillian._generator(L)))
+        size = ab.shape[1]
+        assert not ab[:kl].any()
+        band = np.zeros((size, size), dtype=complex)
+        for c in range(size):
+            rows = np.arange(max(0, c - ku), min(size, c + kl + 1))
+            band[rows, c] = ab[kl + ku + rows - c, c]
+        reference = trace_row_reference(L)
+        assert np.max(np.abs(band[np.ix_(inv, inv)] - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            fig3_params(),
+            # fig7's smallest kappa on its g_kappa = 0 panel
+            fig3_params(kappa_c=1.0e-3, kappa_e=1.0e-3, g_kappa=0.0, delta_c=-2.0e5, delta_e=-2.0e5),
+        ],
+        ids=["fig3", "fig7_kappa_1e-3"],
+    )
+    @pytest.mark.parametrize("method", ["direct", "krylov"])
+    def test_matches_dense_solve(self, params, method):
+        L = effective_liouvillian(params)
+        n = L.space.dim
+        b = np.zeros(n * n, dtype=complex)
+        b[0] = 1.0
+        dense = devectorize(np.linalg.solve(trace_row_reference(L), b), L.space).normalized()
+        res = steady_state(L, method=method)
+        assert res.method == method
+        for mode in (0, 1):
+            n_ref, g2_ref = mode_statistics(dense, mode)
+            n_s, g2_s = mode_statistics(res.state, mode)
+            assert n_s == pytest.approx(n_ref, rel=SOLVER_RTOL)
+            assert abs(g2_s - g2_ref) <= SOLVER_RTOL * abs(g2_ref) + MOMENT_FLOOR / n_ref**2
 
 
 class TestSteadyState:
@@ -240,7 +300,7 @@ class TestSteadyState:
         s = make_space([3, 3])
         H = build_effective_hamiltonian(p, s)
         L = build_liouvillian(H, [])
-        with pytest.raises(SteadyStateError):
+        with pytest.raises(SteadyStateError, match="degenerate"):
             steady_state(L)
 
     def test_krylov_matches_direct(self):
