@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import hbar as HBAR, k as K_B
-from scipy.integrate import solve_ivp
 
-from .model import SystemParams, derived_couplings, thermal_occupation
+from .model import HBAR, K_B, SystemParams, derived_couplings, thermal_occupation
 
 
 class PoleStatus(enum.Enum):
@@ -277,7 +275,10 @@ def amplitude_dynamics(
     amplitude; the undamped linear system oscillates forever, so
     steady-state comparisons use a vanishing regularizer (~1e-6 omega_m).
     C0 is held constant (its depletion is beyond the truncation order).
+    ``scipy.integrate`` is imported on the first call, not with the package.
     """
+    from scipy.integrate import solve_ivp
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
@@ -340,10 +341,18 @@ def effective_noise(p: SystemParams, n_photon: float, t_bath: float) -> NoiseRep
     threshold (they descend from nonnegative normally-ordered moments);
     clamping is flagged.
     """
+    if p.kappa_c <= 0:
+        raise ValueError("kappa_c must be positive: n_eff is divided by it")
+    if p.omega_m <= 0:
+        raise ValueError("omega_m must be positive: the couplings are divided by its square")
     if n_photon < 0:
         raise ValueError("mean photon number must be nonnegative")
+    if not math.isfinite(n_photon):
+        raise ValueError("mean photon number must be finite")
     if t_bath < 0:
         raise ValueError("bath temperature must be nonnegative")
+    if not math.isfinite(t_bath):
+        raise ValueError("bath temperature must be finite")
     N = float(n_photon)
     wm2 = p.omega_m**2
     kc = p.kappa_c

@@ -36,7 +36,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -488,7 +487,12 @@ def evolve(
     rtol: float = 1e-8,
     atol: float = 1e-12,
 ) -> list[DensityMatrix]:
-    """Adaptive integration of d vec(rho)/dt = L vec(rho) over ``t_grid``."""
+    """Adaptive integration of d vec(rho)/dt = L vec(rho) over ``t_grid``.
+
+    ``scipy.integrate`` is imported on the first call, not with the package.
+    """
+    from scipy.integrate import solve_ivp
+
     if rho0.space != L.space:
         raise ValueError("initial state and superoperator live on different spaces")
     t_grid = np.asarray(t_grid, dtype=float)

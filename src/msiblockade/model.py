@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.constants import hbar as HBAR, k as K_B
 
 from .fock import (
     HilbertSpace,
@@ -29,11 +28,18 @@ from .fock import (
     number,
 )
 
+# exact CODATA-2018 values, equal to scipy.constants.hbar and .k; defined
+# here so that importing the package does not load scipy.constants
+HBAR = 6.62607015e-34 / (2.0 * math.pi)  # J s
+K_B = 1.380649e-23  # J/K
+
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose occupation 1/(exp(hbar*omega/kB*T) - 1); zero at T = 0."""
     if temperature < 0:
         raise ValueError("temperature must be nonnegative")
+    if not math.isfinite(temperature):
+        raise ValueError("temperature must be finite")
     if temperature == 0.0 or omega <= 0.0:
         return 0.0
     return 1.0 / np.expm1(HBAR * omega / (K_B * temperature))

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import SystemParams
 
@@ -56,9 +55,14 @@ def _unpack(y) -> MeanFieldState:
 def integrate_full(
     p: SystemParams, t_grid, initial: MeanFieldState | None = None, rtol: float = 1e-8
 ) -> list[MeanFieldState]:
-    """Adaptive integration of the full mean-field system over ``t_grid``."""
+    """Adaptive integration of the full mean-field system over ``t_grid``.
+
+    ``scipy.integrate`` is imported on the first call, not with the package.
+    """
+    from scipy.integrate import solve_ivp
+
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or np.any(np.diff(t_grid) <= 0):
+    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     s0 = initial or MeanFieldState()
 

@@ -271,6 +271,25 @@ class TestEffectiveNoise:
         with pytest.raises(ValueError):
             effective_noise(params(), 1.0, -10.0)
 
+    @pytest.mark.parametrize("g_kappa", [0.0, 500.0])
+    def test_zero_kappa_c_rejected(self, g_kappa):
+        with pytest.raises(ValueError, match="kappa_c"):
+            effective_noise(params(kappa_c=0.0, g_kappa=g_kappa), 2.0, 10.0)
+
+    def test_zero_omega_m_rejected(self):
+        with pytest.raises(ValueError, match="omega_m"):
+            effective_noise(params(omega_m=0.0), 2.0, 10.0)
+
+    @pytest.mark.parametrize("n_photon", [math.inf, math.nan])
+    def test_non_finite_photon_number_rejected(self, n_photon):
+        with pytest.raises(ValueError, match="mean photon number"):
+            effective_noise(params(), n_photon, 10.0)
+
+    @pytest.mark.parametrize("t_bath", [math.inf, math.nan])
+    def test_non_finite_bath_temperature_rejected(self, t_bath):
+        with pytest.raises(ValueError, match="bath temperature"):
+            effective_noise(params(), 2.0, t_bath)
+
 
 class TestEffectiveTemperature:
     def test_zero_occupation(self):

@@ -272,6 +272,18 @@ class TestSqrtKappaExpansion:
             sqrt_kappa_expansion(g, q)
 
 
+class TestConstants:
+    def test_codata_values_equal_scipy_constants(self):
+        from scipy.constants import hbar, k
+
+        from msiblockade import analytic, model
+
+        assert model.HBAR == hbar
+        assert model.K_B == k
+        assert analytic.HBAR is model.HBAR
+        assert analytic.K_B is model.K_B
+
+
 class TestThermalOccupation:
     def test_zero_temperature(self):
         assert thermal_occupation(1e6, 0.0) == 0.0
@@ -279,6 +291,11 @@ class TestThermalOccupation:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             thermal_occupation(1e6, -1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_temperature_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            thermal_occupation(1e6, t)
 
     def test_bose_value(self):
         from scipy.constants import hbar, k

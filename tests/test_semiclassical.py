@@ -57,6 +57,10 @@ class TestFullDynamics:
         with pytest.raises(ValueError):
             integrate_full(params(), [2.0, 1.0])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="t_grid"):
+            integrate_full(params(), [])
+
     def test_undamped_needs_explicit_settle_time(self):
         p = params(kappa_c=0.0, kappa_e=0.0, gamma=0.0, g_kappa=0.0)
         with pytest.raises(ValueError, match="settle_time"):
