@@ -359,13 +359,19 @@ def effective_noise(p: SystemParams, n_photon: float, t_bath: float) -> NoiseRep
     n_th = thermal_occupation(p.omega_m, t_bath)
     notes = []
 
-    cubic = N**3 - 3.0 * N**2 + 2.0 * N
+    try:
+        cubic = N**3 - 3.0 * N**2 + 2.0 * N
+    except OverflowError:
+        raise ValueError(f"mean photon number {N:g} is too large: N^3 overflows float64") from None
     linear = N - 1.0
     clamped = cubic < 0.0 or linear < 0.0
     if clamped:
         notes.append("factorial-moment radicand clamped at zero")
     factor1 = math.sqrt(6.0 * max(cubic, 0.0)) - N * math.sqrt(max(linear, 0.0))
-    term1 = (p.g_kappa**4 + 2j * p.g_omega * p.g_kappa**3) / (16.0 * wm2 * kc**1.5)
+    denom1 = 16.0 * wm2 * kc**1.5
+    if denom1 == 0.0:
+        raise ValueError(f"kappa_c = {kc:g}, omega_m = {p.omega_m:g}: 16 omega_m^2 kappa_c^1.5 underflows to 0")
+    term1 = (p.g_kappa**4 + 2j * p.g_omega * p.g_kappa**3) / denom1
     complex_term = term1.imag != 0.0 and factor1 != 0.0
     if complex_term:
         notes.append("complex first coefficient folded in by magnitude")
@@ -374,6 +380,8 @@ def effective_noise(p: SystemParams, n_photon: float, t_bath: float) -> NoiseRep
     contrib3 = (p.g_kappa**2 + 4.0 * p.g_omega**2) / (4.0 * wm2) * N * n_th
 
     n_eff = (contrib1 + contrib2 + contrib3) / kc
+    if not math.isfinite(n_eff):
+        raise ValueError(f"n_eff overflows float64 at kappa_c = {kc:g}, mean photon number {N:g}")
     return NoiseReport(
         n_eff=n_eff,
         xi_amp=math.sqrt(n_eff),
@@ -386,6 +394,8 @@ def effective_noise(p: SystemParams, n_photon: float, t_bath: float) -> NoiseRep
 
 def effective_temperature(n_eff: float, omega_ref: float) -> float:
     """Temperature whose Bose occupation at omega_ref equals n_eff; 0 at n_eff = 0."""
+    if not math.isfinite(n_eff):
+        raise ValueError(f"occupation n_eff must be finite, got {n_eff}")
     if n_eff < 0:
         raise ValueError("occupation must be nonnegative")
     if n_eff == 0.0:

@@ -226,7 +226,24 @@ _BUILDERS = {
 _HEATMAP_FIGS = {"fig2", "fig4", "fig5", "fig6", "fig8"}
 
 
+def _read_header(path: str) -> list[str]:
+    with open(path) as fh:
+        return fh.readline().rstrip("\n").split(",")
+
+
+def _plot_column(fig_id: str, header: list[str]) -> int:
+    """0-based index of the CSV column both renderers plot: ``n_eff`` on fig2,
+    the last ``log10_*`` column on the other maps, ``log10_g2_c`` on the lines."""
+    if fig_id == "fig2":
+        return header.index("n_eff")
+    if fig_id in _HEATMAP_FIGS:
+        return max(i for i, name in enumerate(header) if name.startswith("log10_"))
+    return header.index("log10_g2_c")
+
+
 def _gnuplot_script(fig_id: str, panels: list[PanelFiles], out_dir: str) -> str:
+    # gnuplot numbers columns from 1
+    cols = [_plot_column(fig_id, _read_header(p.csv_path)) + 1 for p in panels]
     lines = [
         f"# {fig_id}: generated plot script (gnuplot)",
         "set datafile separator ','",
@@ -235,24 +252,24 @@ def _gnuplot_script(fig_id: str, panels: list[PanelFiles], out_dir: str) -> str:
     ]
     if fig_id in _HEATMAP_FIGS:
         lines += ["set view map", "set pm3d interpolate 2,2"]
-        for p in panels:
+        for p, col in zip(panels, cols):
             rel = os.path.basename(p.csv_path)
             lines.append(f"# panel {p.name}")
-            lines.append(f"splot '{rel}' skip 1 using 1:2:($8) with pm3d title '{p.name}'")
+            lines.append(f"splot '{rel}' skip 1 using 1:2:(${col}) with pm3d title '{p.name}'")
     elif fig_id == "fig3":
-        rel = os.path.basename(panels[0].csv_path)
+        rel, col = os.path.basename(panels[0].csv_path), cols[0]
         lines += [
             "set xlabel 'delta / omega_m'",
             "set ylabel 'log10 g2'",
-            f"plot '{rel}' skip 1 using ($1/1e6):(stringcolumn(2) eq 'analytic' ? $10 : 1/0) with lines title 'analytic', \\",
-            f"     '{rel}' skip 1 using ($1/1e6):(stringcolumn(2) eq 'master_effective' ? $10 : 1/0) with lines title 'master'",
+            f"plot '{rel}' skip 1 using ($1/1e6):(stringcolumn(2) eq 'analytic' ? ${col} : 1/0) with lines title 'analytic', \\",
+            f"     '{rel}' skip 1 using ($1/1e6):(stringcolumn(2) eq 'master_effective' ? ${col} : 1/0) with lines title 'master'",
         ]
     else:  # fig7 line panels
         lines += ["set logscale x", "set xlabel 'kappa / omega_m'", "set ylabel 'log10 g2_c'"]
         plot_parts = []
-        for p in panels:
+        for p, col in zip(panels, cols):
             rel = os.path.basename(p.csv_path)
-            plot_parts.append(f"'{rel}' skip 1 using ($1/1e6):10 with lines title '{p.name}'")
+            plot_parts.append(f"'{rel}' skip 1 using ($1/1e6):{col} with lines title '{p.name}'")
         lines.append("plot " + ", \\\n     ".join(plot_parts))
     return "\n".join(lines) + "\n"
 
@@ -281,11 +298,9 @@ def _render_png(fig_id: str, panels: list[PanelFiles], out_dir: str) -> str | No
     for k, panel in enumerate(panels):
         ax = axes[k // ncols][k % ncols]
         header, rows = read(panel.csv_path)
+        zi = _plot_column(fig_id, header)
         if fig_id in _HEATMAP_FIGS:
             xi, yi = 0, 1
-            zi = len(header) - 1  # last derived log10 column (or t_eff path below)
-            if fig_id == "fig2":
-                zi = header.index("n_eff")
             pts = [(float(r[xi]), float(r[yi]), float(r[zi])) for r in rows if r[zi] != ""]
             xs = sorted({p[0] for p in pts})
             ys = sorted({p[1] for p in pts})
@@ -300,9 +315,8 @@ def _render_png(fig_id: str, panels: list[PanelFiles], out_dir: str) -> str | No
             ax.set_ylabel(header[yi])
         else:
             tiers = sorted({r[1] for r in rows})
-            ycol = header.index("log10_g2_c")
             for tier in tiers:
-                data = [(float(r[0]), float(r[ycol])) for r in rows if r[1] == tier and r[ycol] != ""]
+                data = [(float(r[0]), float(r[zi])) for r in rows if r[1] == tier and r[zi] != ""]
                 if data:
                     xs, ys = zip(*data)
                     ax.plot(xs, ys, label=tier)

@@ -23,8 +23,9 @@ Two power steps x <- M x polish ARPACK's Ritz vector before the residual
 is taken. The band LU and the Krylov solve run with the bundled OpenBLAS
 libraries at one thread (``blas.single_thread``); the caller's thread
 counts are restored when they return or raise. Both solvers take the
-residual from the factors and its scale max|L| from the entry formula
-(:func:`_entry_scale`), so neither needs the matrix for it.
+residual from the factors and its scale max|L| from the entry classes
+(:func:`_entry_scale`), so neither needs the matrix for it; max|L| is exact
+on every model ``build_collapse_ops`` makes and an upper bound otherwise.
 """
 
 from __future__ import annotations
@@ -189,68 +190,31 @@ def build_liouvillian(
     return Superoperator(H.space, convention, H, collapse_ops)
 
 
-def _entry_scale(H: np.ndarray, R: np.ndarray, jumps, K) -> float:
-    """max |L| over the superoperator's entries, without assembling it.
+def _entry_scale(H, R, P, Q, ops, K) -> float:
+    """max |L| over the superoperator's entries, class by class, without assembling it.
 
-    ``K`` holds the dense o^dag o of each jump. With H_right = R,
-    L[(i,j),(k,l)] = -i (H_ik d_jl - d_ik R_lj)
-                     + sum_o [conj(o_jl) o_ik - 1/2 (d_jl K_ik + d_ik K_lj)].
-    The four position classes (diagonal; i != k, j = l; i = k, j != l;
-    i != k, j != l) are each evaluated with the float operations of the
-    Kronecker assembly in :attr:`Superoperator.matrix`, in its order, so the
-    result equals ``abs(L.matrix).max()`` bit for bit. The j-dependence of
-    the second class (and the i-dependence of the third) enters only
-    through the jumps' diagonals, so each runs once per distinct tuple of
-    them; the last class is a sum of outer products over the jumps'
-    off-diagonal supports, one block per group of overlapping supports.
+    With the dense jumps ``ops`` and the diagonals ``K`` of each o^dag o,
+    L[(i,j),(k,l)] = P_ik d_jl + Q_lj d_ik + sum_o conj(o_jl) o_ik. The
+    diagonal (i = k, j = l) is evaluated in the float order of the Kronecker
+    assembly in :attr:`Superoperator.matrix`. Off it, with F = sum_o
+    max|diag o| |o|, the class i != k, j = l is bounded by |P| + F, the class
+    i = k, j != l by |Q^T| + F and the class i != k, j != l by
+    sum_o max|o_off| |o_off|. When no jump has a diagonal entry and no two
+    jumps share an off-diagonal position (every model ``build_collapse_ops``
+    makes), the result is ``abs(L.matrix).max()`` bit for bit; otherwise it
+    is an upper bound.
     """
-    N = H.shape[0]
-    dense = [o.toarray() for o in jumps]
-    diags = np.stack([np.diagonal(o) for o in dense], axis=1) if jumps else np.zeros((N, 0))
-
-    def off_max(v):
-        a = np.abs(v)
-        np.fill_diagonal(a, 0.0)
-        return a.max()
-
-    # i = k, j = l; v[i, j]
+    off = ~np.eye(H.shape[0], dtype=bool)
     v = -1j * (np.diagonal(H)[:, None] - np.diagonal(R)[None, :])
-    for d, k in zip(diags.T, K):
-        kd = np.diagonal(k)
+    F = G = 0.0
+    for o, kd in zip(ops, K):
+        d = np.diagonal(o)
         v = v + d.conj()[None, :] * d[:, None]
         v = v - 0.5 * (kd[:, None] + kd[None, :])
-    scale = np.abs(v).max()
-    for t in np.unique(diags, axis=0):
-        # i != k, j = l with conj(o_jj) = conj(t); v[i, k]
-        v = -1j * H
-        for c, o, k in zip(t.conj(), dense, K):
-            if c != 0:
-                v = v + c * o
-            v = v - 0.5 * k
-        scale = max(scale, off_max(v))
-        # i = k, j != l with o_ii = t; v[j, l]
-        v = -1j * (0 - R.T)
-        for c, o, k in zip(t, dense, K):
-            if c != 0:
-                v = v + o.conj() * c
-            v = v - 0.5 * k.T
-        scale = max(scale, off_max(v))
-    # i != k, j != l: sum_o conj(o_jl) o_ik over pairs of off-diagonal entries
-    flat = [o.ravel() for o in dense]
-    supports = [np.flatnonzero(f) for f in flat]
-    supports = [s[s % (N + 1) != 0] for s in supports]
-    groups: list[list[int]] = []
-    for m, s in enumerate(supports):
-        joined = [g for g in groups if any(np.intersect1d(s, supports[n]).size for n in g)]
-        groups = [g for g in groups if g not in joined] + [sorted(sum(joined, [m]))]
-    for g in groups:
-        union = np.unique(np.concatenate([supports[m] for m in g]))
-        v = np.zeros((union.size, union.size), dtype=complex)
-        for m in g:
-            u = flat[m][union]
-            v = v + np.multiply.outer(u.conj(), u)
-        scale = max(scale, np.abs(v).max(initial=0.0))
-    return float(scale)
+        a = np.abs(o) * off
+        F, G = F + np.abs(d).max() * a, G + a.max() * a
+    side = (np.maximum(np.abs(P), np.abs(Q.T)) + F) * off
+    return float(max(np.abs(v).max(), side.max(), np.max(G)))
 
 
 def _generator(L: Superoperator):
@@ -258,15 +222,17 @@ def _generator(L: Superoperator):
 
     P = -i H - D/2 and Q = i H_right - D/2 with D = sum_o o^dag o, dense;
     ``jumps`` are the collapse operators in CSR form; ``scale`` is max |L|
-    (:func:`_entry_scale`), floored at 1e-300 for use as a divisor.
+    (:func:`_entry_scale`: exact on every model ``build_collapse_ops`` makes,
+    an upper bound otherwise), floored at 1e-300 for use as a divisor.
     """
     H = L.hamiltonian.data
     R = H if L.convention == "commutator" else H.conj().T
     jumps = [sp.csr_matrix(o.data) for o in L.collapse_ops]
     K = [o.conj().T @ o for o in jumps]
     decay = sum(K, sp.csr_matrix(H.shape, dtype=complex)).toarray()
-    scale = max(_entry_scale(H, R, jumps, [k.toarray() for k in K]), 1e-300)
-    return -1j * H - 0.5 * decay, 1j * R - 0.5 * decay, jumps, scale
+    P, Q = -1j * H - 0.5 * decay, 1j * R - 0.5 * decay
+    ops = [o.data for o in L.collapse_ops]
+    return P, Q, jumps, max(_entry_scale(H, R, P, Q, ops, [k.diagonal() for k in K]), 1e-300)
 
 
 # -- steady state -----------------------------------------------------------
@@ -461,8 +427,10 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     absolute residual would just restate the frequency units). Both methods
     compute it without the matrix: L rho = P rho + rho Q + sum_o o rho o^H
     with P = -i H - D/2, Q = i H_right - D/2 and D = sum_o o^H o, and
-    max|L| from the entry formula, equal bit for bit to the assembled
-    matrix's largest entry.
+    max|L| from the entry classes: the assembled matrix's largest entry bit
+    for bit when no jump has a diagonal entry and no two jumps share an
+    off-diagonal position (every ``build_collapse_ops`` model), an upper
+    bound on it otherwise.
 
     A singular trace-constrained system (steady-state degeneracy beyond
     normalization) raises :class:`SteadyStateError` rather than returning

@@ -40,9 +40,12 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("temperature must be nonnegative")
     if not math.isfinite(temperature):
         raise ValueError("temperature must be finite")
-    if temperature == 0.0 or omega <= 0.0:
+    kt = K_B * temperature
+    if kt == 0.0 or omega <= 0.0:  # T = 0, or kB T below the float64 range
         return 0.0
-    return 1.0 / np.expm1(HBAR * omega / (K_B * temperature))
+    # exp overflows above hbar omega / kB T ~ 709.8, where 1 / inf = 0 is the occupation
+    with np.errstate(over="ignore"):
+        return float(1.0 / np.expm1(HBAR * omega / kt))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,6 @@ class SweepSpec:
     tiers: tuple[str, ...] = ("analytic",)
     trunc_effective: tuple[int, int] = TRUNC_EFFECTIVE
     trunc_full: tuple[int, int, int] = TRUNC_FULL
-    output: str | None = None
 
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
@@ -469,7 +468,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 # -- configuration ----------------------------------------------------------
 
-_TOP_KEYS = ("axes", "fixed", "tiers", "truncations", "output")
+_TOP_KEYS = ("axes", "fixed", "tiers", "truncations")
 _AXIS_KEYS = ("name", "min", "max", "count", "scale")
 _TRUNC_KEYS = ("effective", "full")
 
@@ -553,14 +552,12 @@ def parse_config(text: str) -> SweepSpec:
 
     trunc_raw = raw.get("truncations", {}) or {}
     _check_keys(trunc_raw, _TRUNC_KEYS, "truncations")
-    output = raw.get("output")
     return SweepSpec(
         axes=tuple(axes),
         fixed=fixed,
         tiers=tuple(tiers),
         trunc_effective=_levels(trunc_raw.get("effective", TRUNC_EFFECTIVE), "truncations.effective"),
         trunc_full=_levels(trunc_raw.get("full", TRUNC_FULL), "truncations.full"),
-        output=str(output) if output is not None else None,
     )
 
 
@@ -575,6 +572,4 @@ def serialize(spec: SweepSpec) -> str:
         "tiers": list(spec.tiers),
         "truncations": {"effective": list(spec.trunc_effective), "full": list(spec.trunc_full)},
     }
-    if spec.output is not None:
-        doc["output"] = spec.output
     return yaml.safe_dump(doc, sort_keys=False)

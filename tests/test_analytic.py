@@ -290,6 +290,16 @@ class TestEffectiveNoise:
         with pytest.raises(ValueError, match="bath temperature"):
             effective_noise(params(), 2.0, t_bath)
 
+    def test_photon_number_overflowing_cube_rejected(self):
+        with pytest.raises(ValueError, match="mean photon number"):
+            effective_noise(params(), 1e120, 1.0)
+
+    # 1e-250: kappa_c^1.5 underflows to 0; 1e-200: n_eff overflows to inf
+    @pytest.mark.parametrize("kappa_c", [1e-250, 1e-200])
+    def test_tiny_kappa_c_rejected(self, kappa_c):
+        with pytest.raises(ValueError, match="kappa_c"):
+            effective_noise(params(kappa_c=kappa_c), 5.0, 10.0)
+
 
 class TestEffectiveTemperature:
     def test_zero_occupation(self):
@@ -315,3 +325,8 @@ class TestEffectiveTemperature:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             effective_temperature(-1e-3, 1e6)
+
+    @pytest.mark.parametrize("n_eff", [math.inf, math.nan])
+    def test_non_finite_rejected(self, n_eff):
+        with pytest.raises(ValueError, match="n_eff"):
+            effective_temperature(n_eff, 1e6)

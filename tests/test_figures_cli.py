@@ -10,8 +10,10 @@ from msiblockade import blas
 from msiblockade.cli import main
 from msiblockade.figures import (
     FIGURE_IDS,
+    PanelFiles,
     PresetGateError,
     _gate_master_effective,
+    _gnuplot_script,
     fig3_spec,
     reproduce,
 )
@@ -72,6 +74,43 @@ class TestPresets:
         )
         with pytest.raises(PresetGateError, match="truncation gate failed"):
             _gate_master_effective([p], trunc=(2, 2))
+
+
+def plotted_columns(script):
+    """The 1-based CSV column of each plot's last axis (y, or z on a map) in a gnuplot script."""
+    cols = []
+    for using in re.findall(r"using (.*?) with", script):
+        refs = re.findall(r"\$(\d+)|:(\d+)$", using)
+        cols.append(int(refs[-1][0] or refs[-1][1]))
+    return cols
+
+
+class TestPlotColumns:
+    """The gnuplot script plots the column the PNG does, picked by header name."""
+
+    @pytest.mark.parametrize("fig_id, name", [("fig2", "n_eff"), ("fig4", "log10_g2_c")])
+    def test_reproduced_script_plots_named_column(self, tmp_path, fig_id, name):
+        manifest = reproduce(fig_id, str(tmp_path), render=False)
+        with open(manifest["plot_script"]) as fh:
+            cols = plotted_columns(fh.read())
+        assert len(cols) == len(manifest["panels"])
+        for path, col in zip(manifest["panels"].values(), cols):
+            with open(path) as fh:
+                assert fh.readline().strip().split(",")[col - 1] == name
+
+    @pytest.mark.parametrize(
+        "fig_id, header",
+        [
+            ("fig3", "delta,tier,g2_c,g2_e,n_c,n_e,status,residual,log10_g2_c,log10_g2_e"),
+            ("fig7", "kappa,tier,g2_c,g2_e,n_c,n_e,status,residual,log10_g2_c,log10_g2_e"),
+        ],
+        ids=["fig3", "fig7"],
+    )
+    def test_line_script_plots_log10_g2_c(self, tmp_path, fig_id, header):
+        path = tmp_path / f"{fig_id}.csv"
+        path.write_text(header + "\n1000.0,analytic,1.5,1.5,0.1,0.1,ok,,0.17,0.17\n")
+        cols = plotted_columns(_gnuplot_script(fig_id, [PanelFiles("p", str(path))], str(tmp_path)))
+        assert cols and all(header.split(",")[c - 1] == "log10_g2_c" for c in cols)
 
 
 class TestCli:

@@ -158,12 +158,33 @@ def random_model(seed, dims, convention):
     return build_liouvillian(H, jumps, convention)
 
 
-def physical_models():
-    p = fig3_params(gamma=100.0, n_th=0.4, delta_c=-2.0e5 + 1.0e3, delta_e=-2.0e5 + 1.0e3)
-    yield effective_liouvillian(p, (6, 6))
-    yield effective_liouvillian(p, (12, 12))
-    s = make_space((3, 3, 4))
-    yield build_liouvillian(build_full_hamiltonian(p, s), build_collapse_ops(p, s, "displacement_modified"))
+def full_liouvillian(p, levels):
+    s = make_space(levels)
+    return build_liouvillian(build_full_hamiltonian(p, s), build_collapse_ops(p, s, "displacement_modified"))
+
+
+# every build_collapse_ops jump has a zero diagonal and no two share an
+# off-diagonal position, so max|L| from the entry classes is exact on these
+_THERMAL = dict(gamma=100.0, n_th=0.4, delta_c=-2.0e5 + 1.0e3, delta_e=-2.0e5 + 1.0e3)
+_FIG7 = dict(g_kappa=200.0, delta_c=-2.0e5, delta_e=-2.0e5)
+PHYSICAL_MODELS = {
+    "thermal-6-6": lambda: effective_liouvillian(fig3_params(**_THERMAL), (6, 6)),
+    "thermal-12-12": lambda: effective_liouvillian(fig3_params(**_THERMAL), (12, 12)),
+    "thermal-full-3-3-4": lambda: full_liouvillian(fig3_params(**_THERMAL), (3, 3, 4)),
+    "fig3-delta-min": lambda: effective_liouvillian(fig3_params(delta_c=-5.0e5, delta_e=-5.0e5)),
+    "fig3-delta-0": lambda: effective_liouvillian(fig3_params(delta_c=0.0, delta_e=0.0)),
+    "fig3-delta-max": lambda: effective_liouvillian(fig3_params(delta_c=5.0e5, delta_e=5.0e5)),
+    "fig7-kappa-1e-3": lambda: effective_liouvillian(fig3_params(kappa_c=1.0e-3, kappa_e=1.0e-3, **_FIG7)),
+    "fig7-kappa-1e5": lambda: effective_liouvillian(fig3_params(kappa_c=1.0e5, kappa_e=1.0e5, **_FIG7)),
+    "gate-12-12": lambda: effective_liouvillian(fig3_params(delta_c=0.0, delta_e=0.0), (12, 12)),
+    # of the 2214 fig3, fig6 and fig7 preset points, the one where summing
+    # P_ii + Q_jj instead of the assembly's order moves the scale by an ulp
+    "fig6-g350-25": lambda: effective_liouvillian(
+        fig3_params(g_omega=350.0, g_kappa=25.0, delta_c=-2.0e5, delta_e=-2.0e5)
+    ),
+    "thermal-full-2-2-3": lambda: full_liouvillian(fig3_params(**_THERMAL), (2, 2, 3)),
+    "thermal-full-4-4-8": lambda: full_liouvillian(fig3_params(**_THERMAL), (4, 4, 8)),
+}
 
 
 class TestMatrixFreeFactors:
@@ -172,13 +193,36 @@ class TestMatrixFreeFactors:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
     def test_entry_scale_equals_assembled_max(self, seed, convention):
+        # dephasing diagonals and overlapping jumps: the scale is an upper
+        # bound on max|L| here, below the crude max|P| + max|Q| + sum max|o|^2
         dims = [(3,), (2, 3), (3, 3), (2, 2, 3)][seed % 4]
         L = random_model(seed, dims, convention)
+        P, Q, jumps, scale = liouvillian._generator(L)
+        crude = abs(P).max() + abs(Q).max() + sum(abs(o).max() ** 2 for o in jumps)
+        assert abs(L.matrix).max() * (1.0 - 1e-15) <= scale <= crude
+
+    @pytest.mark.parametrize("build", PHYSICAL_MODELS.values(), ids=PHYSICAL_MODELS.keys())
+    def test_entry_scale_equals_assembled_max_on_physical_models(self, build):
+        L = build()
         assert liouvillian._generator(L)[3] == abs(L.matrix).max()
 
-    def test_entry_scale_equals_assembled_max_on_physical_models(self):
-        for L in physical_models():
-            assert liouvillian._generator(L)[3] == abs(L.matrix).max()
+    @pytest.mark.parametrize("case", ["jumps-only", "dephased-drive"])
+    def test_entry_scale_tight_where_an_off_diagonal_class_dominates(self, case):
+        if case == "jumps-only":
+            # H = i D / 2 cancels P and Q under sandwich: L = sum_o kron(conj o, o),
+            # so the largest entry is in the class i != k, j != l
+            s = make_space((3, 3))
+            jumps = [2.0 * annihilation(s, 0), 0.5 * annihilation(s, 1)]
+            H = OperatorMatrix(s, 0.5j * sum(o.data.conj().T @ o.data for o in jumps))
+        else:
+            # a drive along the jump's off-diagonal support adds to its diagonal
+            # term: the largest entries are in the classes i != k, j = l and i = k, j != l
+            s = make_space((4,))
+            jumps = [annihilation(s, 0) + 0.5 * number(s, 0)]
+            H = OperatorMatrix(s, 10.0j * annihilation(s, 0).data)
+        L = build_liouvillian(H, jumps, "sandwich")
+        exact = abs(L.matrix).max()
+        assert exact * (1.0 - 1e-15) <= liouvillian._generator(L)[3] <= exact * (1.0 + 1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("convention", ["commutator", "sandwich"])

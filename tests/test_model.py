@@ -1,6 +1,7 @@
 """Parameter record, Hamiltonian builders, collapse operators, cavity geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,14 @@ class TestThermalOccupation:
     def test_non_finite_temperature_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
             thermal_occupation(1e6, t)
+
+    # hbar omega / kB T ~ 7.6e3 overflows exp; kB * 5e-324 underflows to 0
+    @pytest.mark.parametrize("t", [1e-9, 5e-324])
+    def test_deep_quantum_limit_is_zero_without_warning(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_occupation(1e6, t) == 0.0
+            assert SystemParams(t_bath=t).thermal_phonons == 0.0
 
     def test_bose_value(self):
         from scipy.constants import hbar, k

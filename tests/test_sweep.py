@@ -112,6 +112,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'axis_specs'"):
             parse_config(MINIMAL + "\naxis_specs: []\n")
 
+    def test_output_key_removed(self):
+        # the CSV path is the sweep command's --out option
+        with pytest.raises(ConfigError, match="unknown key 'output'"):
+            parse_config(MINIMAL + "output: sweep.csv\n")
+        assert "output" not in SweepSpec.__dataclass_fields__
+
     def test_unknown_fixed_key_suggests(self):
         bad = MINIMAL + "fixed:\n  kapa_c: 100.0\n"
         with pytest.raises(ConfigError, match="did you mean 'kappa_c'"):
