@@ -9,9 +9,12 @@ L rho = P rho + rho Q + sum_o o rho o^H, with P = -i H - D/2, Q =
 i H_right - D/2 (so Q = P^H for ``sandwich``) and D = sum_o o^H o.
 
 Steady states of small superoperators are solved directly by RCM-banded
-LU (LAPACK ``gbsv``): the trace-row system is assembled from P, Q and the
-jumps, renumbered by reverse Cuthill-McKee into a band, and factored with
-partial pivoting. Above ``DIRECT_LIMIT`` a matrix-free Krylov method is
+LU (LAPACK ``gbsv``): the entries of the trace-row system are summed from
+P, Q and the jumps straight into band storage, and factored with partial
+pivoting. The reverse Cuthill-McKee renumbering, the bandwidths and the
+scatter positions depend only on the sparsity pattern; they are taken on
+the pattern (not on values, whose sums can cancel) once per pattern and
+cached. Above ``DIRECT_LIMIT`` a matrix-free Krylov method is
 used that never forms the superoperator: with L0 X = P X + X Q and the
 jump part sum_k o_k X o_k^H, the steady state is recovered as the
 dominant eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each
@@ -31,7 +34,7 @@ on every model ``build_collapse_ops`` makes and an upper bound otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -46,8 +49,11 @@ from .fock import HilbertSpace, OperatorMatrix, occupations
 # superoperator dimension above which steady_state switches to the
 # matrix-free Krylov solver. The RCM-banded LU (LAPACK gbsv, one thread)
 # has bandwidth 155, 360 and 695 on the effective model at (6,6), (8,8)
-# and (10,10); a whole direct solve there took 25 ms, 190 ms and 1.4 s
-# (2-vCPU host, best of 2 to 7) with bands of 10, 71 and 334 MB
+# and (10,10); with the band assembled through scipy.sparse a whole direct
+# solve there took 25 ms, 190 ms and 1.4 s (2-vCPU host, best of 2 to 7)
+# with bands of 10, 71 and 334 MB. Summing the band from the factors with
+# a cached layout took the (6,6) solve from 19.1 to 15.5 ms (best of 40),
+# of which gbsv is 12.6 ms
 DIRECT_LIMIT = 10_000
 
 CONVENTIONS = ("commutator", "sandwich")
@@ -217,6 +223,33 @@ def _entry_scale(H, R, P, Q, ops, K) -> float:
     return float(max(np.abs(v).max(), side.max(), np.max(G)))
 
 
+def _csr(d: np.ndarray) -> sp.csr_matrix:
+    """``sp.csr_matrix(d)`` for a dense 2-D ``d``, without the detour through COO."""
+    n, m = d.shape
+    nz = np.flatnonzero(d)
+    indptr = np.searchsorted(nz, np.arange(0, n * m + 1, m)).astype(np.int32)
+    return sp.csr_matrix((d.ravel()[nz], (nz % m).astype(np.int32), indptr), shape=(n, m))
+
+
+def _gram(o: sp.csr_matrix) -> np.ndarray:
+    """o^dag o, dense, equal bit for bit to ``(o.conj().T @ o).toarray()``.
+
+    The sparse product sums conj(o_ki) o_kj over the rows k of ``o`` in
+    ascending order and rounds each complex product's four real products
+    one by one (numpy's complex multiply may fuse them).
+    """
+    n = o.shape[1]
+    r = np.repeat(np.arange(o.shape[0]), np.diff(o.indptr))
+    a, b = np.nonzero(r[:, None] == r[None, :])
+    x, y = o.data[a], o.data[b]
+    t = np.empty(a.size, dtype=complex)
+    t.real = x.real * y.real + x.imag * y.imag
+    t.imag = x.real * y.imag - x.imag * y.real
+    K = np.zeros(n * n, dtype=complex)
+    np.add.at(K, o.indices[a] * n + o.indices[b], t)
+    return K.reshape(n, n)
+
+
 def _generator(L: Superoperator):
     """(P, Q, jumps, scale) with L rho = P rho + rho Q + sum_o o rho o^dag.
 
@@ -227,12 +260,12 @@ def _generator(L: Superoperator):
     """
     H = L.hamiltonian.data
     R = H if L.convention == "commutator" else H.conj().T
-    jumps = [sp.csr_matrix(o.data) for o in L.collapse_ops]
-    K = [o.conj().T @ o for o in jumps]
-    decay = sum(K, sp.csr_matrix(H.shape, dtype=complex)).toarray()
+    jumps = [_csr(o.data) for o in L.collapse_ops]
+    K = [_gram(o) for o in jumps]
+    decay = sum(K, np.zeros(H.shape, dtype=complex))
     P, Q = -1j * H - 0.5 * decay, 1j * R - 0.5 * decay
     ops = [o.data for o in L.collapse_ops]
-    return P, Q, jumps, max(_entry_scale(H, R, P, Q, ops, [k.diagonal() for k in K]), 1e-300)
+    return P, Q, jumps, max(_entry_scale(H, R, P, Q, ops, [np.diagonal(k) for k in K]), 1e-300)
 
 
 # -- steady state -----------------------------------------------------------
@@ -258,42 +291,123 @@ def _finish(space, rho_raw, P, Q, jumps, scale: float, method: str, notes=()) ->
     return SteadyStateResult(DensityMatrix(space, rho), resid, method, tuple(notes))
 
 
-def _trace_row_system(P, Q, jumps, scale: float) -> sp.coo_matrix:
-    """L / scale with row 0 replaced by the trace constraint, from the factors.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only: the caches below hand the same arrays to every caller."""
+    a.flags.writeable = False
+    return a
 
-    L = kron(I, P) + kron(Q^T, I) + sum_o kron(conj(o), o) in column
-    stacking; row 0 becomes tr(rho) = 1, ones at (0, k(n+1)).
+
+@lru_cache(maxsize=4)
+def _pattern(n: int, p_nz: bytes, q_nz: bytes, jump_nz: tuple[tuple[bytes, bytes], ...]):
+    """(keys, maps): every position r n^2 + c of L that one of its terms writes to.
+
+    In column stacking kron(I, P) puts P_ik at (i + n j, k + n j) for every
+    j, kron(Q^T, I) puts Q_lj at (i + n j, i + n l) for every i, and
+    kron(conj o, o) puts conj(o_jl) o_ik at (i + n j, k + n l). The
+    arguments are the bytes of P's and Q's flat (C order) nonzero indices
+    and of each jump's int32 CSR (indptr, indices). ``keys`` holds the
+    positions sorted, so row 0 comes first; ``maps[t]`` sends term t's
+    entries, in the order :func:`_trace_row_band` builds their values, to
+    their index in ``keys``.
+    """
+    span, ramp = n * n, np.arange(n, dtype=np.intp)
+    i, k = np.divmod(np.frombuffer(p_nz, np.intp), n)
+    block = n * ramp[:, None]
+    terms = [(block + i) * span + block + k]
+    l, j = np.divmod(np.frombuffer(q_nz, np.intp), n)
+    terms.append((n * j[:, None] + ramp) * span + n * l[:, None] + ramp)
+    for ptr, ind in jump_nz:
+        r = np.repeat(ramp, np.diff(np.frombuffer(ptr, np.int32)))
+        c = np.frombuffer(ind, np.int32).astype(np.intp)
+        terms.append((n * r[:, None] + r) * span + n * c[:, None] + c)
+    keys, inverse = np.unique(np.concatenate([t.ravel() for t in terms]), return_inverse=True)
+    return _frozen(keys), [_frozen(m) for m in np.split(inverse, np.cumsum([t.size for t in terms])[:-1])]
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where the trace-row system's entries go in LAPACK band storage.
+
+    ``flat`` holds the positions, in the Fortran-order band of shape
+    (2 kl + ku + 1, n^2), of the pattern's entries from ``start`` on (those
+    of row 0 come before it); an entry that summed to 0 goes to position 0,
+    which no entry of the matrix occupies. ``trace`` holds the trace row's
+    positions; row and column r of the system become ``inv[r]``.
+    """
+
+    kl: int
+    ku: int
+    inv: np.ndarray
+    start: int
+    flat: np.ndarray
+    trace: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _band_layout(pattern: tuple, zeros: bytes) -> _BandLayout:
+    """The layout for :func:`_pattern` ``(*pattern)`` less the entries ``zeros`` (intp bytes).
+
+    Reverse Cuthill-McKee runs on the stored pattern with unit values, so
+    that no edge of A + A^T cancels.
+    """
+    n, size = pattern[0], pattern[0] ** 2
+    keys, _ = _pattern(*pattern)
+    start = int(np.searchsorted(keys, size))
+    stored = np.ones(keys.size, dtype=bool)
+    stored[np.frombuffer(zeros, np.intp)] = False
+    stored[:start] = False
+    rows, cols = np.divmod(keys[stored], size)
+    rows = np.concatenate([np.zeros(n, dtype=np.intp), rows])
+    cols = np.concatenate([np.arange(n) * (n + 1), cols])
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=False)
+    inv = np.empty(size, dtype=np.intp)
+    inv[perm] = np.arange(size)
+    r, c = inv[rows], inv[cols]
+    kl, ku = int(np.max(r - c)), int(np.max(c - r))
+    at = kl + ku + r - c + c * (2 * kl + ku + 1)
+    flat = np.zeros(keys.size - start, dtype=np.intp)
+    flat[stored[start:]] = at[n:]
+    return _BandLayout(kl, ku, _frozen(inv), start, _frozen(flat), _frozen(at[:n].copy()))
+
+
+def _trace_row_band(P, Q, jumps, scale: float):
+    """(ab, kl, ku, inv): L / scale with row 0 replaced by tr(rho) = 1, in RCM-ordered band storage.
+
+    L = kron(I, P) + kron(Q^T, I) + sum_o kron(conj o, o) in column
+    stacking. Its entries are summed straight from the factors in the float
+    order of the sparse Kronecker sum (P + Q^T, then each jump in turn) and
+    scaled as a sparse matrix divided by ``scale`` is; entries that sum to
+    exactly 0 are not stored. Row 0 becomes ones at (0, k(n+1)). The
+    ordering, the bandwidths and the scatter positions depend only on the
+    stored pattern, so they are cached per pattern (:func:`_pattern`,
+    :func:`_band_layout`). Entry (r, c) sits at ab[kl + ku + inv[r] -
+    inv[c], inv[c]] of the Fortran-order array, whose top kl rows stay zero
+    for the fill of ``gbsv``'s row interchanges.
     """
     n = P.shape[0]
-    eye = sp.identity(n, dtype=complex, format="csr")
-    Lm = sp.kron(eye, sp.csr_matrix(P), format="csr") + sp.kron(sp.csr_matrix(Q.T), eye, format="csr")
-    for o in jumps:
-        Lm = Lm + sp.kron(o.conj(), o, format="csr")
-    trace = sp.csr_matrix((np.ones(n, dtype=complex), ([0] * n, np.arange(n) * (n + 1))), shape=(1, n * n))
-    return sp.vstack([trace, (Lm / scale)[1:]], format="coo")
-
-
-def _rcm_band(A: sp.coo_matrix):
-    """(ab, kl, ku, inv): ``A`` renumbered by reverse Cuthill-McKee, in LAPACK band storage.
-
-    Row and column r of ``A`` become inv[r]; the ordering is taken on the
-    symmetrized pattern. Entry (r, c) sits at ab[kl + ku + inv[r] - inv[c],
-    inv[c]] of the Fortran-order array, whose top kl rows stay zero for the
-    fill of ``gbsv``'s row interchanges.
-    """
-    perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=False)
-    inv = np.empty(perm.size, dtype=np.intp)
-    inv[perm] = np.arange(perm.size)
-    r, c = inv[A.row], inv[A.col]
-    kl, ku = int(np.max(r - c)), int(np.max(c - r))
-    ab = np.zeros((2 * kl + ku + 1, perm.size), dtype=complex, order="F")
-    ab[kl + ku + r - c, c] = A.data
-    return ab, kl, ku, inv
+    p_nz, q_nz = np.flatnonzero(P), np.flatnonzero(Q)
+    jump_nz = tuple(
+        (o.indptr.astype(np.int32, copy=False).tobytes(), o.indices.astype(np.int32, copy=False).tobytes())
+        for o in jumps
+    )
+    pattern = (n, p_nz.tobytes(), q_nz.tobytes(), jump_nz)
+    keys, maps = _pattern(*pattern)
+    v = np.zeros(keys.size, dtype=complex)
+    v[maps[0]] += np.tile(P.ravel()[p_nz], n)
+    v[maps[1]] += np.repeat(Q.ravel()[q_nz], n)
+    for m, o in zip(maps[2:], jumps):
+        v[m] += np.outer(o.data.conj(), o.data).ravel()
+    layout = _band_layout(pattern, np.flatnonzero(v == 0).tobytes())
+    ab = np.zeros((2 * layout.kl + layout.ku + 1) * n * n, dtype=complex)
+    ab[layout.flat] = v[layout.start:] * (1 / scale)
+    ab[layout.trace] = 1.0
+    return ab.reshape((-1, n * n), order="F"), layout.kl, layout.ku, layout.inv
 
 
 def _steady_direct(L: Superoperator) -> SteadyStateResult:
     P, Q, jumps, scale = _generator(L)
-    ab, kl, ku, inv = _rcm_band(_trace_row_system(P, Q, jumps, scale))
+    ab, kl, ku, inv = _trace_row_band(P, Q, jumps, scale)
     # right-hand side: 1 in the trace row, wherever the renumbering put it
     b = np.zeros(ab.shape[1], dtype=complex)
     b[inv[0]] = 1.0
@@ -372,8 +486,6 @@ def _sylvester_inverse(P: np.ndarray, Q: np.ndarray, convention: str):
 
 
 def _steady_krylov(L: Superoperator) -> SteadyStateResult:
-    if not L.collapse_ops:
-        raise SteadyStateError("no dissipation: the steady manifold is degenerate")
     N = L.space.dim
     with blas.single_thread():
         # L0 X = P X + X Q (Q = P^H for sandwich); each application of
@@ -414,7 +526,9 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     ``direct`` replaces one row with the trace constraint and LU-factors
     the system by RCM-banded LU (LAPACK ``gbsv``, partial pivoting, one
     OpenBLAS thread; the band takes 16 (3 kl + 1) L.dim bytes, 10 MB at
-    (6,6), 334 MB at (10,10) and 2 GB on ``master_full`` at (4,4,8));
+    (6,6), 334 MB at (10,10) and 2 GB on ``master_full`` at (4,4,8)); the
+    band is summed from the factors and its RCM layout is cached per
+    sparsity pattern (:func:`_trace_row_band`);
     ``krylov`` is the matrix-free Sylvester/Arnoldi path for large spaces
     (Sylvester solves P X + X Q = -C in the eigenbases of P and Q, or
     through their Schur forms when an eigenvector matrix has condition
@@ -432,12 +546,17 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     off-diagonal position (every ``build_collapse_ops`` model), an upper
     bound on it otherwise.
 
-    A singular trace-constrained system (steady-state degeneracy beyond
-    normalization) raises :class:`SteadyStateError` rather than returning
-    an arbitrary element of the manifold.
+    A generator without collapse operators, or a singular trace-constrained
+    system (steady-state degeneracy beyond normalization), raises
+    :class:`SteadyStateError` for either method rather than returning an
+    arbitrary element of the manifold.
     """
     if method not in ("auto", "direct", "krylov"):
         raise ValueError(f"unknown method {method!r}")
+    if not L.collapse_ops:
+        # without jumps the trace-row LU can still return a candidate (a
+        # driven point gave min eigenvalue -1.5 at residual 7e-18)
+        raise SteadyStateError("no dissipation: the steady manifold is degenerate")
     if method == "auto":
         method = "direct" if L.dim <= DIRECT_LIMIT else "krylov"
     if method == "direct":

@@ -568,7 +568,10 @@ def serialize(spec: SweepSpec) -> str:
             {"name": ax.name, "min": ax.min, "max": ax.max, "count": ax.count, "scale": ax.scale}
             for ax in spec.axes
         ],
-        "fixed": {k: getattr(spec.fixed, k) for k in PARAM_FIELDS},
+        # n_th and t_bath are optional: written only when set
+        "fixed": {
+            k: v for k in PARAM_FIELDS + ("n_th", "t_bath") if (v := getattr(spec.fixed, k)) is not None
+        },
         "tiers": list(spec.tiers),
         "truncations": {"effective": list(spec.trunc_effective), "full": list(spec.trunc_full)},
     }

@@ -183,6 +183,14 @@ class TestCli:
         assert "g2_e=           -" in result.output
         assert "pole_JplusDeltaC" in result.output
 
+    def test_g2_without_dissipation_exits_1(self):
+        result = self.runner.invoke(main, [
+            "g2", "--kappa-c", "0", "--kappa-e", "0", "--j", "2e5",
+            "--eps-c", "5e3", "--eps-e", "5e3", "--tiers", "master_effective",
+        ])
+        assert result.exit_code == 1, result.output
+        assert "status=error:SteadyStateError:no dissipation" in result.output
+
     def test_sweep_command(self, tmp_path):
         cfg = tmp_path / "sweep.yaml"
         cfg.write_text(

@@ -1,9 +1,12 @@
 """Superoperator assembly, steady states, evolution, convergence scans."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from msiblockade import liouvillian
 from msiblockade.figures import MOMENT_FLOOR
@@ -259,8 +262,104 @@ def trace_row_reference(L):
     return A
 
 
+def kron_trace_row_system(P, Q, jumps, scale):
+    """Reference: the trace-row system assembled by scipy.sparse Kronecker products.
+
+    L = kron(I, P) + kron(Q^T, I) + sum_o kron(conj o, o), divided by
+    ``scale``, with row 0 replaced by ones at (0, k(n+1)).
+    """
+    n = P.shape[0]
+    eye = sp.identity(n, dtype=complex, format="csr")
+    Lm = sp.kron(eye, sp.csr_matrix(P), format="csr") + sp.kron(sp.csr_matrix(Q.T), eye, format="csr")
+    for o in jumps:
+        Lm = Lm + sp.kron(o.conj(), o, format="csr")
+    trace = sp.csr_matrix((np.ones(n, dtype=complex), ([0] * n, np.arange(n) * (n + 1))), shape=(1, n * n))
+    return sp.vstack([trace, (Lm / scale)[1:]], format="coo")
+
+
+def numeric_rcm_band(A):
+    """Reference: ``A`` ordered by reverse Cuthill-McKee on the numeric A + A^T, in LAPACK band storage."""
+    perm = reverse_cuthill_mckee(A.tocsr(), symmetric_mode=False)
+    inv = np.empty(perm.size, dtype=np.intp)
+    inv[perm] = np.arange(perm.size)
+    r, c = inv[A.row], inv[A.col]
+    kl, ku = int(np.max(r - c)), int(np.max(c - r))
+    ab = np.zeros((2 * kl + ku + 1, perm.size), dtype=complex, order="F")
+    ab[kl + ku + r - c, c] = A.data
+    return ab, kl, ku, inv
+
+
+def reference_band(L):
+    return numeric_rcm_band(kron_trace_row_system(*liouvillian._generator(L)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_band(got, want):
+    (ab, kl, ku, inv), (ab_ref, kl_ref, ku_ref, inv_ref) = got, want
+    assert (kl, ku) == (kl_ref, ku_ref)
+    assert np.array_equal(inv, inv_ref)
+    assert ab.shape == ab_ref.shape and ab.flags.f_contiguous
+    assert np.array_equal(bits(ab.T), bits(ab_ref.T))
+
+
+def phased_effective_liouvillian(p, levels):
+    """The effective model with i J (a_c^dag a_e - a_e^dag a_c) and i eps (a^dag - a).
+
+    Same sparsity pattern as the real couplings, but entries of L + L^T
+    cancel, so an ordering taken on the numeric A + A^T loses edges. (Not
+    the same physics: one gauge cannot make J and both drives imaginary, and
+    n_c is 5 times the real couplings' at fig3_params().)
+    """
+    s = make_space(levels)
+    a_c, a_e = annihilation(s, 0), annihilation(s, 1)
+    H = build_effective_hamiltonian(replace(p, J=0.0, eps_c=0.0, eps_e=0.0), s)
+    H = (
+        H + 1j * p.J * (a_c.dag() @ a_e - a_c @ a_e.dag())
+        + 1j * p.eps_c * (a_c.dag() - a_c) + 1j * p.eps_e * (a_e.dag() - a_e)
+    )
+    return build_liouvillian(H, build_collapse_ops(p, s), "sandwich")
+
+
+def dephased_liouvillian():
+    """H = 0, damping on mode 0 and dephasing on mode 1: some entries of L sum to exactly 0.
+
+    On the diagonal, L[(i,j),(i,j)] = -(n1(i) - n1(j))^2 / 2 wherever mode 0 is empty.
+    """
+    s = make_space((3, 3))
+    return build_liouvillian(0.0 * number(s, 0), [2.0 * annihilation(s, 0), number(s, 1)], "sandwich")
+
+
+def dense_steady_state(L):
+    n = L.space.dim
+    b = np.zeros(n * n, dtype=complex)
+    b[0] = 1.0
+    return devectorize(np.linalg.solve(trace_row_reference(L), b), L.space).normalized()
+
+
+# the effective model at (3,3) to (8,8), non-Hermitian H (g_kappa > 0), in an
+# order that alternates patterns: no drive, then drive, then no drive again
+_BAND_MODELS = [
+    ((3, 3), dict(eps_c=0.0, eps_e=0.0)),
+    ((3, 3), dict()),
+    ((4, 4), dict(g_omega=0.0)),
+    ((3, 3), dict(eps_c=0.0, eps_e=0.0, delta_c=0.0, delta_e=0.0)),
+    ((4, 4), dict(J=0.0)),
+    ((5, 5), dict()),
+    ((4, 4), dict(g_omega=0.0)),
+    ((6, 6), dict(eps_c=5.0e4, eps_e=5.0e4)),
+    ((5, 7), dict(g_omega=0.0, g_kappa=0.0)),
+    ((6, 6), dict(delta_c=0.0, delta_e=0.0)),
+    ((7, 7), dict(kappa_c=1.0e-3, kappa_e=1.0e-3)),
+    ((3, 3), dict(eps_c=0.0, eps_e=0.0)),
+    ((8, 8), dict()),
+]
+
+
 class TestBandedDirect:
-    """The direct solve: trace-row system from the factors, RCM-banded, LAPACK gbsv."""
+    """The direct solve: trace-row band from the factors, ordered by RCM once per pattern, LAPACK gbsv."""
 
     @pytest.mark.parametrize(
         "build",
@@ -275,7 +374,7 @@ class TestBandedDirect:
     @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
     def test_band_unpermuted_equals_trace_row_matrix(self, build, convention):
         L = build(convention)
-        ab, kl, ku, inv = liouvillian._rcm_band(liouvillian._trace_row_system(*liouvillian._generator(L)))
+        ab, kl, ku, inv = liouvillian._trace_row_band(*liouvillian._generator(L))
         size = ab.shape[1]
         assert not ab[:kl].any()
         band = np.zeros((size, size), dtype=complex)
@@ -284,6 +383,65 @@ class TestBandedDirect:
             band[rows, c] = ab[kl + ku + rows - c, c]
         reference = trace_row_reference(L)
         assert np.max(np.abs(band[np.ix_(inv, inv)] - reference)) <= 1e-15 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_band_equals_kronecker_reference_bit_for_bit(self, convention):
+        # one process, patterns alternating: a layout taken for the wrong
+        # pattern from the cache would show here
+        liouvillian._pattern.cache_clear()
+        liouvillian._band_layout.cache_clear()
+        for levels, kw in _BAND_MODELS:
+            L = effective_liouvillian(fig3_params(**kw), levels, convention)
+            assert_same_band(liouvillian._trace_row_band(*liouvillian._generator(L)), reference_band(L))
+        info = liouvillian._band_layout.cache_info()
+        assert info.hits > 0 and info.currsize <= info.maxsize
+
+    def test_entries_that_sum_to_zero_are_not_stored(self):
+        L = dephased_liouvillian()
+        P, Q, jumps, _ = liouvillian._generator(L)
+        # at |0, m><0, m| for m = 1, 2, P, Q and the dephasing jump each put an
+        # entry on L's diagonal, and they sum to exactly 0
+        assert np.all(np.diagonal(P)[1:3] != 0) and jumps[1].diagonal()[1:3].all()
+        assert np.array_equal(np.flatnonzero(L.matrix.diagonal() == 0), [0, 10, 20])
+        liouvillian._band_layout.cache_clear()
+        assert_same_band(liouvillian._trace_row_band(*liouvillian._generator(L)), reference_band(L))
+        assert liouvillian._band_layout.cache_info().currsize == 1
+
+    def test_phased_couplings_keep_the_band(self):
+        # the numeric A + A^T ordering gave kl = ku = 1281 here: an 80 MB band
+        p = fig3_params()
+        L = phased_effective_liouvillian(p, (6, 6))
+        _, kl, ku, _ = liouvillian._trace_row_band(*liouvillian._generator(L))
+        real = liouvillian._trace_row_band(*liouvillian._generator(effective_liouvillian(p)))
+        assert (kl, ku) == (real[1], real[2]) == (155, 155)
+        direct, krylov = steady_state(L, method="direct"), steady_state(L, method="krylov")
+        assert direct.residual <= 1e-10
+        for mode in (0, 1):
+            n_k, g2_k = mode_statistics(krylov.state, mode)
+            n_d, g2_d = mode_statistics(direct.state, mode)
+            assert n_d == pytest.approx(n_k, rel=SOLVER_RTOL)
+            assert abs(g2_d - g2_k) <= SOLVER_RTOL * abs(g2_k) + MOMENT_FLOOR / n_k**2
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_random_models_match_reference_and_dense_solve(self, seed, convention):
+        # dephasing diagonals and overlapping jumps: the ordering may differ
+        # from the reference only where the reference's numeric A + A^T
+        # cancelled an entry of the pattern
+        L = random_model(seed, [(3,), (2, 3), (3, 3), (2, 2, 3)][seed % 4], convention)
+        inv = liouvillian._trace_row_band(*liouvillian._generator(L))[3]
+        if not np.array_equal(inv, reference_band(L)[3]):
+            A = kron_trace_row_system(*liouvillian._generator(L)).tocsr()
+            unit = A.copy()
+            unit.data[:] = 1.0
+            assert (A + A.T).nnz < (unit + unit.T).nnz
+        # steady_state hermitizes and normalizes its candidate; these
+        # generators need not preserve hermiticity
+        dense = dense_steady_state(L).matrix
+        dense = 0.5 * (dense + dense.conj().T)
+        dense /= np.trace(dense).real
+        res = steady_state(L, method="direct")
+        assert np.max(np.abs(res.state.matrix - dense)) <= 1e-9 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize(
         "params",
@@ -297,10 +455,7 @@ class TestBandedDirect:
     @pytest.mark.parametrize("method", ["direct", "krylov"])
     def test_matches_dense_solve(self, params, method):
         L = effective_liouvillian(params)
-        n = L.space.dim
-        b = np.zeros(n * n, dtype=complex)
-        b[0] = 1.0
-        dense = devectorize(np.linalg.solve(trace_row_reference(L), b), L.space).normalized()
+        dense = dense_steady_state(L)
         res = steady_state(L, method=method)
         assert res.method == method
         for mode in (0, 1):
@@ -410,6 +565,15 @@ class TestSteadyState:
             n, g2_d = mode_statistics(direct.state, mode)
             _, g2_k = mode_statistics(krylov.state, mode)
             assert abs(g2_k - g2_d) <= SOLVER_RTOL * abs(g2_d) + MOMENT_FLOOR / n**2
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "krylov"])
+    def test_driven_without_dissipation_raises(self, method):
+        # the trace-row LU returned a "state" with min eigenvalue -1.49 and
+        # residual 6.6e-18 here, and mode_statistics then read n = 0
+        L = effective_liouvillian(fig3_params(kappa_c=0.0, kappa_e=0.0))
+        assert not L.collapse_ops
+        with pytest.raises(SteadyStateError, match="no dissipation: the steady manifold is degenerate"):
+            steady_state(L, method=method)
 
     def test_krylov_needs_dissipation(self):
         p = fig3_params(kappa_c=0.0, kappa_e=0.0, g_kappa=0.0)

@@ -142,6 +142,13 @@ class TestParseConfig:
         assert again == spec
         assert serialize(again) == text
 
+    @pytest.mark.parametrize("thermal", ["n_th: 0.5", "t_bath: 0.01", "n_th: 0.0"])
+    def test_round_trip_keeps_thermal_fields(self, thermal):
+        spec = parse_config(MINIMAL + "tiers: [master_full]\nfixed:\n  gamma: 100.0\n  " + thermal + "\n")
+        again = parse_config(serialize(spec))
+        assert again == spec
+        assert again.fixed.thermal_phonons == spec.fixed.thermal_phonons
+
     def test_not_yaml(self):
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("axes: [unclosed\n  - ]broken")
@@ -259,6 +266,12 @@ class TestRunSweep:
         assert len(result.rows) == 2
         assert all(r.status.startswith("error") for r in result.rows)
         assert result.hard_errors == 2
+
+    def test_driven_point_without_dissipation_is_an_error_row(self):
+        p = SystemParams(kappa_c=0.0, kappa_e=0.0, g_omega=200.0, g_kappa=500.0, J=2.0e5, eps_c=5.0e3, eps_e=5.0e3)
+        (row,) = evaluate_point(p, ("master_effective",))
+        assert row.status == "error:SteadyStateError:no dissipation: the steady manifold is degenerate"
+        assert row.n_c is None and row.g2_c is None
 
     def test_csv_schema_and_empty_cells(self):
         spec = SweepSpec(
