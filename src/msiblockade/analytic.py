@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import HBAR, K_B, SystemParams, derived_couplings, thermal_occupation
+from .model import HBAR, K_B, SystemParams, _integrate, derived_couplings, thermal_occupation
 
 
 class PoleStatus(enum.Enum):
@@ -277,11 +277,6 @@ def amplitude_dynamics(
     C0 is held constant (its depletion is beyond the truncation order).
     ``scipy.integrate`` is imported on the first call, not with the package.
     """
-    from scipy.integrate import solve_ivp
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
     if initial is None:
         initial = TruncatedState()
     c0 = complex(initial.c0)
@@ -289,27 +284,18 @@ def amplitude_dynamics(
     kerr = d.G / (2.0 * p.omega_m)
     s2 = math.sqrt(2.0)
 
-    def rhs(t, y):
-        cc, ce, cce, ccc, cee = y[:5] + 1j * y[5:]
+    def rhs(t, z):
+        cc, ce, cce, ccc, cee = z
         dcc = -1j * (p.eps_c * c0 + p.J * ce - p.delta_c * cc) - damping * cc
         dce = -1j * (p.eps_e * c0 + p.J * cc - p.delta_e * ce) - damping * ce
         dcce = -1j * (p.eps_e * cc + p.eps_c * ce + s2 * p.J * (cee + ccc) - d.K * cce) - damping * cce
         dccc = -1j * (s2 * p.eps_c * cc + s2 * p.J * cce - 2.0 * (p.delta_c + kerr) * ccc) - damping * ccc
         dcee = -1j * (s2 * p.eps_e * ce + s2 * p.J * cce - 2.0 * p.delta_e * cee) - damping * cee
-        dz = np.array([dcc, dce, dcce, dccc, dcee])
-        return np.concatenate([dz.real, dz.imag])
+        return np.array([dcc, dce, dcce, dccc, dcee])
 
     y0 = np.array([initial.cc, initial.ce, initial.cce, initial.ccc, initial.cee], dtype=complex)
-    y0 = np.concatenate([y0.real, y0.imag])
-    t0 = min(0.0, t_grid[0])
-    sol = solve_ivp(rhs, (t0, t_grid[-1]), y0, t_eval=t_grid, method="DOP853", rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"amplitude integration failed: {sol.message}")
-    states = []
-    for k in range(sol.y.shape[1]):
-        cc, ce, cce, ccc, cee = sol.y[:5, k] + 1j * sol.y[5:, k]
-        states.append(TruncatedState(c0=c0, cc=cc, ce=ce, cce=cce, ccc=ccc, cee=cee))
-    return states
+    z = _integrate(rhs, y0, t_grid, rtol, 1e-14, "amplitude")
+    return [TruncatedState(c0, cc, ce, cce, ccc, cee) for cc, ce, cce, ccc, cee in z.T]
 
 
 # -- effective noise and temperature ---------------------------------------

@@ -24,7 +24,7 @@ from .sweep import (
     parse_config,
     run_sweep,
 )
-from .model import SystemParams
+from .model import RATE_FIELDS, SystemParams
 
 
 @click.group()
@@ -33,16 +33,13 @@ def main():
     """Photon anti-bunching in a dissipatively coupled two-cavity model."""
 
 
-_PARAM_OPTS = (
-    ("omega_m", 1.0e6), ("kappa_c", 5.0e3), ("kappa_e", 5.0e3), ("gamma", 0.0),
-    ("g_omega", 0.0), ("g_kappa", 0.0), ("j", 0.0),
-    ("delta_c", 0.0), ("delta_e", 0.0), ("eps_c", 0.0), ("eps_e", 0.0),
-)
-
-
 def _param_options(fn):
-    for name, default in reversed(_PARAM_OPTS):
-        fn = click.option(f"--{name.replace('_', '-')}", type=float, default=default, show_default=True)(fn)
+    """One float option per rate field of SystemParams, with its default;
+    the flag is the field name lower-cased with ``_`` as ``-`` (``--j``)."""
+    defaults = SystemParams()
+    for name in reversed(RATE_FIELDS):
+        flag = f"--{name.lower().replace('_', '-')}"
+        fn = click.option(flag, type=float, default=getattr(defaults, name), show_default=True)(fn)
     return fn
 
 

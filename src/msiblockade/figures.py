@@ -103,6 +103,17 @@ def _fig2(out_dir: str) -> list[PanelFiles]:
     return [PanelFiles("noise", path)]
 
 
+def _panel(out_dir: str, fig: str, name: str, spec: SweepSpec, probes=(), log_cols=("g2_c", "g2_e")) -> PanelFiles:
+    """One panel: gate the master tier at the ``probes`` axis values (when
+    there are any), sweep ``spec`` and write ``<fig>_<name>.csv`` with a
+    ``log10_*`` column per name in ``log_cols``."""
+    if probes:
+        _gate_master_effective([spec.point_params(v) for v in probes], spec.trunc_effective)
+    path = os.path.join(out_dir, f"{fig}_{name}.csv")
+    run_sweep(spec).write_csv(path, log_cols=log_cols)
+    return PanelFiles(name, path)
+
+
 def fig3_spec() -> SweepSpec:
     """Detuning sweep preset: analytic vs master-equation g2, 401 points."""
     return SweepSpec(
@@ -113,14 +124,7 @@ def fig3_spec() -> SweepSpec:
 
 
 def _fig3(out_dir: str) -> list[PanelFiles]:
-    spec = fig3_spec()
-    _gate_master_effective(
-        [spec.point_params((v,)) for v in (-5.0e5, 0.0, 5.0e5)], spec.trunc_effective
-    )
-    result = run_sweep(spec)
-    path = os.path.join(out_dir, "fig3_detuning.csv")
-    result.write_csv(path, log_cols=("g2_c", "g2_e"))
-    return [PanelFiles("detuning", path)]
+    return [_panel(out_dir, "fig3", "detuning", fig3_spec(), probes=((-5.0e5,), (0.0,), (5.0e5,)))]
 
 
 def _fig45(out_dir: str, fig: str) -> list[PanelFiles]:
@@ -129,22 +133,13 @@ def _fig45(out_dir: str, fig: str) -> list[PanelFiles]:
     One panel per dissipative coupling value; fig4 reports the
     optomechanical cavity, fig5 the empty cavity.
     """
-    log_col = "g2_c" if fig == "fig4" else "g2_e"
-    panels = []
-    for gk in (0.0, 200.0, 400.0, 600.0):
-        spec = SweepSpec(
-            axes=(
-                AxisSpec("delta_c", -5.0e5, 5.0e5, 101),
-                AxisSpec("delta_e", -5.0e5, 5.0e5, 101),
-            ),
-            fixed=_BASE.with_(g_omega=400.0, g_kappa=gk),
-            tiers=("analytic",),
-        )
-        result = run_sweep(spec)
-        path = os.path.join(out_dir, f"{fig}_gk{int(gk)}.csv")
-        result.write_csv(path, log_cols=(log_col,))
-        panels.append(PanelFiles(f"gk{int(gk)}", path))
-    return panels
+    axes = (AxisSpec("delta_c", -5.0e5, 5.0e5, 101), AxisSpec("delta_e", -5.0e5, 5.0e5, 101))
+    fixed = _BASE.with_(g_omega=400.0)
+    log_cols = ("g2_c",) if fig == "fig4" else ("g2_e",)
+    return [
+        _panel(out_dir, fig, f"gk{int(gk)}", SweepSpec(axes, fixed.with_(g_kappa=gk)), log_cols=log_cols)
+        for gk in (0.0, 200.0, 400.0, 600.0)
+    ]
 
 
 def _fig6(out_dir: str) -> list[PanelFiles]:
@@ -154,21 +149,12 @@ def _fig6(out_dir: str) -> list[PanelFiles]:
     elsewhere), 41x41, at the near-blockade detuning delta = -J.
     """
     spec = SweepSpec(
-        axes=(
-            AxisSpec("g_omega", 0.0, 1000.0, 41),
-            AxisSpec("g_kappa", 0.0, 1000.0, 41),
-        ),
+        axes=(AxisSpec("g_omega", 0.0, 1000.0, 41), AxisSpec("g_kappa", 0.0, 1000.0, 41)),
         fixed=_BASE.with_(delta_c=-2.0e5, delta_e=-2.0e5),
         tiers=("master_effective",),
     )
-    probes = [
-        spec.point_params(v) for v in ((0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0), (500.0, 500.0))
-    ]
-    _gate_master_effective(probes, spec.trunc_effective)
-    result = run_sweep(spec)
-    path = os.path.join(out_dir, "fig6_couplings.csv")
-    result.write_csv(path, log_cols=("g2_c", "g2_e"))
-    return [PanelFiles("couplings", path)]
+    probes = ((0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0), (500.0, 500.0))
+    return [_panel(out_dir, "fig6", "couplings", spec, probes)]
 
 
 def _fig7(out_dir: str) -> list[PanelFiles]:
@@ -177,20 +163,13 @@ def _fig7(out_dir: str) -> list[PanelFiles]:
     kappa/omega_m log-spaced over 1e-9..1e-1 (33 points) per dissipative
     coupling value; brackets the minimum locations and the g2 -> 1 tail.
     """
-    panels = []
-    for gk in (0.0, 200.0, 400.0, 600.0):
-        spec = SweepSpec(
-            axes=(AxisSpec("kappa", 1.0e-9 * 1.0e6, 1.0e-1 * 1.0e6, 33, "log"),),
-            fixed=_BASE.with_(g_omega=200.0, g_kappa=gk, delta_c=-2.0e5, delta_e=-2.0e5),
-            tiers=("master_effective",),
-        )
-        probes = [spec.point_params((v,)) for v in (1.0e-3, 1.0e5)]
-        _gate_master_effective(probes, spec.trunc_effective)
-        result = run_sweep(spec)
-        path = os.path.join(out_dir, f"fig7_gk{int(gk)}.csv")
-        result.write_csv(path, log_cols=("g2_c", "g2_e"))
-        panels.append(PanelFiles(f"gk{int(gk)}", path))
-    return panels
+    axes = (AxisSpec("kappa", 1.0e-9 * 1.0e6, 1.0e-1 * 1.0e6, 33, "log"),)
+    fixed = _BASE.with_(g_omega=200.0, delta_c=-2.0e5, delta_e=-2.0e5)
+    probes = ((1.0e-3,), (1.0e5,))
+    return [
+        _panel(out_dir, "fig7", f"gk{int(gk)}", SweepSpec(axes, fixed.with_(g_kappa=gk), ("master_effective",)), probes)
+        for gk in (0.0, 200.0, 400.0, 600.0)
+    ]
 
 
 def _fig8(out_dir: str) -> list[PanelFiles]:
@@ -200,17 +179,10 @@ def _fig8(out_dir: str) -> list[PanelFiles]:
     blockade line J = -delta and the delta = 0 bunching row.
     """
     spec = SweepSpec(
-        axes=(
-            AxisSpec("J", 0.0, 5.0e5, 101),
-            AxisSpec("delta", -5.0e5, 5.0e5, 101),
-        ),
+        axes=(AxisSpec("J", 0.0, 5.0e5, 101), AxisSpec("delta", -5.0e5, 5.0e5, 101)),
         fixed=_BASE.with_(g_omega=200.0, g_kappa=500.0),
-        tiers=("analytic",),
     )
-    result = run_sweep(spec)
-    path = os.path.join(out_dir, "fig8_j_delta.csv")
-    result.write_csv(path, log_cols=("g2_c", "g2_e"))
-    return [PanelFiles("j_delta", path)]
+    return [_panel(out_dir, "fig8", "j_delta", spec)]
 
 
 _BUILDERS = {

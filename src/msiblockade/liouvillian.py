@@ -45,6 +45,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import blas
 from .fock import HilbertSpace, OperatorMatrix, occupations
+from .model import _integrate
 
 # superoperator dimension above which steady_state switches to the
 # matrix-free Krylov solver. The RCM-banded LU (LAPACK gbsv, one thread)
@@ -578,35 +579,11 @@ def evolve(
 
     ``scipy.integrate`` is imported on the first call, not with the package.
     """
-    from scipy.integrate import solve_ivp
-
     if rho0.space != L.space:
         raise ValueError("initial state and superoperator live on different spaces")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
     Lm = L.matrix
-    y0 = vectorize(rho0)
-    # pack complex into real for solve_ivp
-    n2 = y0.size
-
-    def rhs(t, y):
-        dz = Lm @ (y[:n2] + 1j * y[n2:])
-        return np.concatenate([dz.real, dz.imag])
-
-    t0 = min(0.0, t_grid[0])
-    sol = solve_ivp(
-        rhs,
-        (t0, t_grid[-1]),
-        np.concatenate([y0.real, y0.imag]),
-        t_eval=t_grid,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise RuntimeError(f"master-equation integration failed: {sol.message}")
-    return [devectorize(sol.y[:n2, k] + 1j * sol.y[n2:, k], L.space) for k in range(sol.y.shape[1])]
+    y = _integrate(lambda t, z: Lm @ z, vectorize(rho0), t_grid, rtol, atol, "master-equation")
+    return [devectorize(y[:, k], L.space) for k in range(y.shape[1])]
 
 
 # -- observables ------------------------------------------------------------
@@ -616,7 +593,9 @@ def mode_statistics(rho: DensityMatrix, mode: int) -> tuple[float, float]:
     """(mean photon number, g2(0)) of one mode in a density matrix.
 
     g2 = <a^dag a^dag a a> / <a^dag a>^2; infinite when the occupation
-    vanishes (no photons to correlate). Both operators are diagonal in the
+    vanishes (no photons to correlate). A negative occupation (a
+    non-physical state) is returned as computed, with the same ratio for
+    g2, for the caller to flag. Both operators are diagonal in the
     Fock basis, so the moments are read off rho's diagonal; the diagonal of
     a^dag a^dag a a is formed in the order of that operator product
     ((sqrt(n) sqrt(n-1)) sqrt(n-1)) sqrt(n), which keeps the result equal bit
@@ -628,8 +607,8 @@ def mode_statistics(rho: DensityMatrix, mode: int) -> tuple[float, float]:
     diag = rho.matrix.diagonal()
     n = float(np.real(np.sum(occ * diag)))
     g2_num = float(np.real(np.sum(quad * diag)))
-    if n <= 0.0:
-        return max(n, 0.0), float("inf")
+    if n == 0.0:
+        return n, float("inf")
     return n, g2_num / n**2
 
 

@@ -3,8 +3,9 @@
 Houses the system parameter record, the derived coupling combinations used
 by the closed-form correlation functions, the effective two-mode
 (complex-Kerr) and full three-mode Hamiltonians, the Lindblad collapse
-operators in both standard and displacement-modified form, and the
-cavity-length expansion that produces the dissipative coupling rate.
+operators in both standard and displacement-modified form, the
+cavity-length expansion that produces the dissipative coupling rate, and
+the one ODE driver behind the three time integrators.
 
 Frequencies are angular rates throughout with hbar = 1; the mode ordering
 on multimode spaces is fixed as (cavity c, cavity e, mechanics b).
@@ -300,3 +301,38 @@ def sqrt_kappa_expansion(geom: CavityGeometry, q: float) -> float:
             stacklevel=2,
         )
     return np.sqrt(kc) * (1.0 + 0.5 * ratio)
+
+
+# -- time integration --------------------------------------------------------
+
+
+def _integrate(rhs, y0, t_grid, rtol: float, atol: float, what: str) -> np.ndarray:
+    """DOP853 solution of dy/dt = rhs(t, y), one column per time in ``t_grid``.
+
+    The integration starts from y0 at min(0, t_grid[0]). A complex y0 is
+    integrated as its real parts followed by its imaginary parts; ``rhs``
+    then takes and returns complex arrays, and the columns are complex. A
+    failed integration raises RuntimeError naming ``what``.
+    ``scipy.integrate`` is imported on the first call, not with the package.
+    """
+    from scipy.integrate import solve_ivp
+
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    y0 = np.asarray(y0)
+    packed = np.iscomplexobj(y0)
+    n = y0.size
+    if packed:
+        complex_rhs = rhs
+
+        def rhs(t, y):
+            dz = complex_rhs(t, y[:n] + 1j * y[n:])
+            return np.concatenate([dz.real, dz.imag])
+
+        y0 = np.concatenate([y0.real, y0.imag])
+    t0 = min(0.0, t_grid[0])
+    sol = solve_ivp(rhs, (t0, t_grid[-1]), y0, t_eval=t_grid, method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError(f"{what} integration failed: {sol.message}")
+    return sol.y[:n] + 1j * sol.y[n:] if packed else sol.y

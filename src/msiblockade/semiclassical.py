@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, _integrate
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,9 @@ def integrate_full(
 
     ``scipy.integrate`` is imported on the first call, not with the package.
     """
-    from scipy.integrate import solve_ivp
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
     s0 = initial or MeanFieldState()
-
-    def rhs(t, y):
-        return _pack(full_rhs(_unpack(y), p))
-
-    t0 = min(0.0, t_grid[0])
-    sol = solve_ivp(rhs, (t0, t_grid[-1]), _pack(s0), t_eval=t_grid, method="DOP853", rtol=rtol, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"mean-field integration failed: {sol.message}")
-    return [_unpack(sol.y[:, k]) for k in range(sol.y.shape[1])]
+    y = _integrate(lambda t, y: _pack(full_rhs(_unpack(y), p)), _pack(s0), t_grid, rtol, 1e-14, "mean-field")
+    return [_unpack(y[:, k]) for k in range(y.shape[1])]
 
 
 def full_steady_state(p: SystemParams, settle_time: float | None = None) -> MeanFieldState:

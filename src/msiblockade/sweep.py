@@ -126,10 +126,12 @@ class SweepSpec:
             raise ConfigError(f"need 1 or 2 axes, got {len(self.axes)}")
         # rows come out in TIERS order, so the spec states them that way too
         object.__setattr__(self, "tiers", _canonical_tiers(self.tiers))
-        if len(self.trunc_effective) != 2:
-            raise ConfigError(f"truncations.effective needs exactly 2 mode levels, got {self.trunc_effective}")
-        if len(self.trunc_full) != 3:
-            raise ConfigError(f"truncations.full needs exactly 3 mode levels, got {self.trunc_full}")
+        for key, levels, modes in (("effective", self.trunc_effective, 2), ("full", self.trunc_full, 3)):
+            if len(levels) != modes:
+                raise ConfigError(f"truncations.{key} needs exactly {modes} mode levels, got {levels}")
+            if min(levels) < 2:
+                # one level holds only the vacuum: no photon to count
+                raise ConfigError(f"truncations.{key} needs at least 2 levels per mode, got {levels}")
 
     def grid(self):
         """Row-major iteration over the axis product, as tuples of floats."""
@@ -342,8 +344,8 @@ def _eval_master(p: SystemParams, trunc, full: bool) -> tuple:
     res = steady_state(_tier_liouvillian(p, trunc, full))
     n_c, g2_c = mode_statistics(res.state, 0)
     n_e, g2_e = mode_statistics(res.state, 1)
-    status = "ok" if not res.notes else ";".join(res.notes)
-    return g2_c, g2_e, n_c, n_e, status, res.residual
+    notes = [*res.notes, *(f"{mode}:negative_occupation" for mode, n in (("c", n_c), ("e", n_e)) if n < 0.0)]
+    return g2_c, g2_e, n_c, n_e, ";".join(notes) or "ok", res.residual
 
 
 def evaluate_point(

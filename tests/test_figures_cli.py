@@ -3,10 +3,11 @@
 import os
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from msiblockade import blas
+from msiblockade import blas, figures
 from msiblockade.cli import main
 from msiblockade.figures import (
     FIGURE_IDS,
@@ -18,7 +19,7 @@ from msiblockade.figures import (
     reproduce,
 )
 from msiblockade.model import SystemParams
-from msiblockade.sweep import evaluate_point
+from msiblockade.sweep import TRUNC_EFFECTIVE, VALUE_FIELDS, SweepResult, evaluate_point
 
 
 class TestPresets:
@@ -74,6 +75,57 @@ class TestPresets:
         )
         with pytest.raises(PresetGateError, match="truncation gate failed"):
             _gate_master_effective([p], trunc=(2, 2))
+
+
+class TestGateCalls:
+    """Which presets gate their master tier, at which probes, before which sweep."""
+
+    @staticmethod
+    def record(monkeypatch, fig_id, out_dir):
+        """reproduce(fig_id) with the gate and run_sweep replaced by recorders;
+        a recorded sweep writes a header-only CSV."""
+        events = []
+
+        def gate(params_list, trunc=TRUNC_EFFECTIVE):
+            events.append(("gate", list(params_list), trunc))
+
+        def sweep(spec):
+            events.append(("sweep", spec))
+            names = [ax.name for ax in spec.axes] + ["tier", *VALUE_FIELDS]
+            return SweepResult(spec, {n: [] if n in ("tier", "status") else np.empty(0) for n in names})
+
+        monkeypatch.setattr(figures, "_gate_master_effective", gate)
+        monkeypatch.setattr(figures, "run_sweep", sweep)
+        reproduce(fig_id, str(out_dir), render=False)
+        return events
+
+    @pytest.mark.parametrize("fig_id", ["fig2", "fig4", "fig5", "fig8"])
+    def test_analytic_presets_run_no_gate(self, monkeypatch, tmp_path, fig_id):
+        events = self.record(monkeypatch, fig_id, tmp_path)
+        assert [e for e in events if e[0] == "gate"] == []
+
+    def test_fig3_gates_detuning_ends_and_center(self, monkeypatch, tmp_path):
+        (gate, sweep) = self.record(monkeypatch, "fig3", tmp_path)
+        assert gate[0] == "gate" and sweep == ("sweep", fig3_spec())
+        assert [(p.delta_c, p.delta_e) for p in gate[1]] == [(-5.0e5, -5.0e5), (0.0, 0.0), (5.0e5, 5.0e5)]
+        assert gate[2] == TRUNC_EFFECTIVE
+
+    def test_fig6_gates_corners_and_center(self, monkeypatch, tmp_path):
+        (gate, sweep) = self.record(monkeypatch, "fig6", tmp_path)
+        assert gate[0] == "gate" and sweep[0] == "sweep"
+        assert [(p.g_omega, p.g_kappa) for p in gate[1]] == [
+            (0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0), (1000.0, 1000.0), (500.0, 500.0),
+        ]
+        assert all(p.delta_c == p.delta_e == -2.0e5 for p in gate[1])
+        assert gate[2] == TRUNC_EFFECTIVE
+
+    def test_fig7_gates_each_panel_at_kappa_ends(self, monkeypatch, tmp_path):
+        events = self.record(monkeypatch, "fig7", tmp_path)
+        assert [e[0] for e in events] == ["gate", "sweep"] * 4
+        for (_, probes, trunc), (_, spec), gk in zip(events[::2], events[1::2], (0.0, 200.0, 400.0, 600.0)):
+            assert [(p.kappa_c, p.kappa_e) for p in probes] == [(1.0e-3, 1.0e-3), (1.0e5, 1.0e5)]
+            assert all(p.g_kappa == spec.fixed.g_kappa == gk for p in probes)
+            assert trunc == TRUNC_EFFECTIVE
 
 
 def plotted_columns(script):

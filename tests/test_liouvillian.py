@@ -694,6 +694,20 @@ class TestAmplitudeOracle:
             assert n_e_me == pytest.approx(n_e_amp, rel=1e-4, abs=0.0)
 
 
+class TestModeStatistics:
+    def test_negative_occupation_returned_as_computed(self):
+        # a non-physical state: diagonal (1.15, -0.1, -0.05) on one mode
+        # gives <n> = -0.2 and <a^dag a^dag a a> = -0.1
+        rho = DensityMatrix(make_space([3]), np.diag([1.15, -0.1, -0.05]))
+        n, g2 = mode_statistics(rho, 0)
+        assert n == pytest.approx(-0.2, rel=1e-15)
+        assert g2 == pytest.approx(-0.1 / 0.04, rel=1e-14)
+
+    def test_undriven_mode_has_infinite_g2(self):
+        n, g2 = mode_statistics(vacuum_state(make_space([3, 3])), 1)
+        assert n == 0.0 and g2 == float("inf")
+
+
 class TestConvergenceScan:
     @staticmethod
     def builder(p):

@@ -8,7 +8,10 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from msiblockade import sweep
 from msiblockade.analytic import amplitude_steady_states, g2_analytic
+from msiblockade.fock import make_space
+from msiblockade.liouvillian import DensityMatrix, SteadyStateResult
 from msiblockade.model import SystemParams
 from msiblockade.semiclassical import reduced_fixed_point
 from msiblockade.sweep import (
@@ -201,6 +204,21 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="truncations.full needs exactly 3"):
             SweepSpec(axes=self.AXES, tiers=("master_full",), trunc_full=(2, 2))
 
+    @pytest.mark.parametrize(
+        "key, levels",
+        [("effective", dict(trunc_effective=(1, 6))), ("full", dict(trunc_full=(4, 4, 1)))],
+    )
+    def test_truncation_below_two_levels_rejected_on_direct_spec(self, key, levels):
+        with pytest.raises(ConfigError, match=f"truncations.{key} needs at least 2 levels per mode"):
+            SweepSpec(axes=self.AXES, tiers=("master_effective", "master_full"), **levels)
+
+    def test_truncation_below_two_levels_rejected_by_parse_config(self):
+        # before any row is computed, not as one error row per master point
+        with pytest.raises(ConfigError, match=r"truncations.effective needs at least 2 levels per mode, got \(1, 6\)"):
+            parse_config(MINIMAL + "tiers: [analytic, master_effective]\ntruncations:\n  effective: [1, 6]\n")
+        with pytest.raises(ConfigError, match=r"truncations.full needs at least 2 levels per mode, got \(0, 4, 8\)"):
+            parse_config(MINIMAL + "truncations:\n  full: [0, 4, 8]\n")
+
     def test_tiers_stored_canonical_and_match_row_order(self):
         spec = SweepSpec(
             axes=self.AXES,
@@ -272,6 +290,22 @@ class TestRunSweep:
         (row,) = evaluate_point(p, ("master_effective",))
         assert row.status == "error:SteadyStateError:no dissipation: the steady manifold is degenerate"
         assert row.n_c is None and row.g2_c is None
+
+    def test_negative_occupation_flagged_in_status(self, monkeypatch):
+        # a state with <n_c> = -0.1 from the steady-state solver must print
+        # as such, with a status that says so, not as n_c = 0 and status ok
+        space = make_space((2, 2))
+        bad = DensityMatrix(space, np.diag([1.0, 0.1, -0.1, 0.0]))
+        monkeypatch.setattr(sweep, "steady_state", lambda L: SteadyStateResult(bad, 0.0, "direct"))
+        spec = SweepSpec(
+            axes=(AxisSpec("delta", -1.0e5, 1.0e5, 2),),
+            fixed=SystemParams(J=2.0e5, eps_c=5e3, eps_e=5e3),
+            tiers=("master_effective",),
+            trunc_effective=(2, 2),
+        )
+        for row in run_sweep(spec).rows:
+            assert row.status == "c:negative_occupation"
+            assert row.n_c == pytest.approx(-0.1) and row.n_e == pytest.approx(0.1)
 
     def test_csv_schema_and_empty_cells(self):
         spec = SweepSpec(
