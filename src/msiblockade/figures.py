@@ -66,7 +66,8 @@ def _gate_master_effective(params_list, trunc=TRUNC_EFFECTIVE) -> None:
             ("c", lo.g2_c, hi.g2_c, max(lo.n_c, hi.n_c)),
             ("e", lo.g2_e, hi.g2_e, max(lo.n_e, hi.n_e)),
         ):
-            tol = GATE_TOLERANCE * max(abs(g2_lo), abs(g2_hi)) + MOMENT_FLOOR / max(n, 1e-300) ** 2
+            # n floored at 1e-150, whose square is still a positive float
+            tol = GATE_TOLERANCE * max(abs(g2_lo), abs(g2_hi)) + MOMENT_FLOOR / max(n, 1e-150) ** 2
             if abs(g2_hi - g2_lo) > tol:
                 raise PresetGateError(
                     f"truncation gate failed at {p}: doubling {trunc} moves g2_{mode} "

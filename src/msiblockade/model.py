@@ -309,7 +309,8 @@ def sqrt_kappa_expansion(geom: CavityGeometry, q: float) -> float:
 def _integrate(rhs, y0, t_grid, rtol: float, atol: float, what: str) -> np.ndarray:
     """DOP853 solution of dy/dt = rhs(t, y), one column per time in ``t_grid``.
 
-    The integration starts from y0 at min(0, t_grid[0]). A complex y0 is
+    The integration starts from y0 at min(0, t_grid[0]); a single time at
+    or before 0 is that start, and its column is y0. A complex y0 is
     integrated as its real parts followed by its imaginary parts; ``rhs``
     then takes and returns complex arrays, and the columns are complex. A
     failed integration raises RuntimeError naming ``what``.
@@ -320,8 +321,13 @@ def _integrate(rhs, y0, t_grid, rtol: float, atol: float, what: str) -> np.ndarr
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     y0 = np.asarray(y0)
     packed = np.iscomplexobj(y0)
+    t0 = min(0.0, t_grid[0])
+    if t0 == t_grid[-1]:  # solve_ivp cannot take a zero-length span
+        return y0.reshape(-1, 1).astype(complex if packed else float)
     n = y0.size
     if packed:
         complex_rhs = rhs
@@ -331,7 +337,6 @@ def _integrate(rhs, y0, t_grid, rtol: float, atol: float, what: str) -> np.ndarr
             return np.concatenate([dz.real, dz.imag])
 
         y0 = np.concatenate([y0.real, y0.imag])
-    t0 = min(0.0, t_grid[0])
     sol = solve_ivp(rhs, (t0, t_grid[-1]), y0, t_eval=t_grid, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"{what} integration failed: {sol.message}")

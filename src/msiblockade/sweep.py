@@ -2,12 +2,16 @@
 
 A sweep is one or two axes over SystemParams fields (plus the compound
 aliases ``delta``, ``kappa``, ``eps`` that move both cavities together),
-evaluated on any subset of the four model tiers. ``run_sweep`` evaluates
-the ``analytic`` and ``semiclassical`` tiers once over the whole grid, as
-arrays (``SweepSpec.param_arrays``), and the master-equation tiers point
-by point through ``evaluate_point``, which is also the ``g2`` command's
-one-point evaluator and uses the same array code for the grid tiers. Row
-order is row-major over the axes, tiers in ``TIERS`` order.
+evaluated on any subset of the four model tiers. Every axis value is
+checked against ``fixed`` when the SweepSpec is built, so a grid with an
+invalid point is a ConfigError and never reaches a tier. Each tier is
+evaluated by one function over the grid's parameter arrays
+(``SweepSpec.param_arrays``): the ``analytic`` and ``semiclassical`` tiers
+as arrays, the master-equation tiers one steady state per point, with a
+failure at a point recorded in its row. ``run_sweep`` calls it once per
+tier, and ``evaluate_point``, the ``g2`` command's one-point evaluator,
+calls it on the one point's arrays. Row order is row-major over the axes,
+tiers in ``TIERS`` order.
 ``SweepResult`` holds the rows as columns, and ``SweepResult.to_csv`` is
 the one sweep CSV format (the figure presets append derived ``log10_*``
 columns through it); floats use shortest round-trip formatting so
@@ -38,8 +42,6 @@ from .model import (
 from .semiclassical import reduced_fixed_point_grid
 
 TIERS = ("analytic", "master_effective", "master_full", "semiclassical")
-# tiers evaluated over a whole grid at once, as arrays
-GRID_TIERS = ("analytic", "semiclassical")
 # the value cells of a row, after its axis values and tier
 VALUE_FIELDS = ("g2_c", "g2_e", "n_c", "n_e", "status", "residual")
 
@@ -108,9 +110,13 @@ class AxisSpec:
             return np.logspace(math.log10(self.min), math.log10(self.max), self.count)
         return np.linspace(self.min, self.max, self.count)
 
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """The SystemParams fields this axis sets."""
+        return AXIS_ALIASES.get(self.name, (self.name,))
+
     def param_updates(self, value: float) -> dict:
-        names = AXIS_ALIASES.get(self.name, (self.name,))
-        return {n: float(value) for n in names}
+        return {n: float(value) for n in self.fields}
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,17 @@ class SweepSpec:
             if min(levels) < 2:
                 # one level holds only the vacuum: no photon to count
                 raise ConfigError(f"truncations.{key} needs at least 2 levels per mode, got {levels}")
+        if len(self.axes) == 2 and (shared := set(self.axes[0].fields) & set(self.axes[1].fields)):
+            first, second = self.axes
+            raise ConfigError(f"axes {first.name!r} and {second.name!r} both set {', '.join(sorted(shared))}")
+        # each SystemParams check reads the fields of at most one axis, so a
+        # grid is valid when every axis value is valid against ``fixed``
+        for ax in self.axes:
+            for v in ax.values().tolist():
+                try:
+                    self.fixed.with_(**ax.param_updates(v))
+                except ValueError as exc:
+                    raise ConfigError(f"axis {ax.name!r}: value {v!r}: {exc}") from exc
 
     def grid(self):
         """Row-major iteration over the axis product, as tuples of floats."""
@@ -149,7 +166,7 @@ class SweepSpec:
         for ax, v in zip(self.axes, values):
             inner //= len(v)
             grid = np.tile(np.repeat(v, inner), size // (len(v) * inner))
-            for name in AXIS_ALIASES.get(ax.name, (ax.name,)):
+            for name in ax.fields:
                 arrays[name] = grid
         return arrays
 
@@ -256,8 +273,8 @@ def _log10_column(col) -> list[str]:
 
 
 def _cell(v) -> float | None:
-    """A numeric row cell: the float, or None where it is missing or not finite."""
-    return float(v) if v is not None and math.isfinite(v) else None
+    """A numeric row cell: the float, or None where it is not finite."""
+    return float(v) if math.isfinite(v) else None
 
 
 def _row(axis_values, tier: str, cells) -> SweepRow:
@@ -331,21 +348,36 @@ def _semiclassical_cells(q) -> tuple:
     return nan, nan, h_c * h_c, h_e * h_e, status, nan
 
 
-def _grid_cells(tier: str, q) -> tuple:
-    """One grid tier's cells over the points of ``q`` (see SweepSpec.param_arrays)."""
+def _master_cells(q, fixed: SystemParams, trunc, full: bool) -> tuple:
+    """One steady state per point; a point that fails gets an error status."""
+    n = len(q["J"])
+    g2_c, g2_e, n_c, n_e, residual = (np.full(n, np.nan) for _ in range(5))
+    status = []
+    for i in range(n):
+        try:
+            p = fixed.with_(**{name: float(v[i]) for name, v in q.items()})
+            res = steady_state(_tier_liouvillian(p, trunc, full))
+            (nc, gc), (ne, ge) = mode_statistics(res.state, 0), mode_statistics(res.state, 1)
+        except Exception as exc:  # per-point failures are recorded, never fatal
+            status.append(_error_status(exc))
+            continue
+        g2_c[i], g2_e[i], n_c[i], n_e[i], residual[i] = gc, ge, nc, ne, res.residual
+        negative = (f"{mode}:negative_occupation" for mode, m in (("c", nc), ("e", ne)) if m < 0.0)
+        status.append(";".join([*res.notes, *negative]) or "ok")
+    return g2_c, g2_e, n_c, n_e, status, residual
+
+
+def _tier_cells(tier: str, q, fixed: SystemParams, trunc_effective, trunc_full) -> tuple:
+    """One tier's cells over the points of ``q`` (see SweepSpec.param_arrays);
+    ``fixed`` supplies the thermal fields, which ``q`` does not hold."""
+    if tier in ("master_effective", "master_full"):
+        full = tier == "master_full"
+        return _master_cells(q, fixed, trunc_full if full else trunc_effective, full)
     try:
         return (_analytic_cells if tier == "analytic" else _semiclassical_cells)(q)
     except Exception as exc:  # a failed tier is recorded in its rows, never fatal
         nan = np.full(len(q["J"]), np.nan)
         return nan, nan, nan, nan, [_error_status(exc)] * len(nan), nan
-
-
-def _eval_master(p: SystemParams, trunc, full: bool) -> tuple:
-    res = steady_state(_tier_liouvillian(p, trunc, full))
-    n_c, g2_c = mode_statistics(res.state, 0)
-    n_e, g2_e = mode_statistics(res.state, 1)
-    notes = [*res.notes, *(f"{mode}:negative_occupation" for mode, n in (("c", n_c), ("e", n_e)) if n < 0.0)]
-    return g2_c, g2_e, n_c, n_e, ";".join(notes) or "ok", res.residual
 
 
 def evaluate_point(
@@ -357,113 +389,37 @@ def evaluate_point(
 ) -> list[SweepRow]:
     """One row per requested tier at parameter point ``p``, in TIERS order.
 
-    The grid tiers run the same array code as ``run_sweep``, on one point.
-    An unknown or empty ``tiers`` raises :class:`ConfigError`. A tier that
+    Every tier runs the same code as in ``run_sweep``, on one point. An
+    unknown or empty ``tiers`` raises :class:`ConfigError`. A tier that
     fails at this point is not fatal: its row carries empty cells and an
     ``error:<type>:<message>`` status. ``axis_values`` labels the rows with
     the point's grid coordinates.
     """
-    rows = []
-    for tier in _canonical_tiers(tiers):
-        if tier in GRID_TIERS:
-            cells = [c[0] for c in _grid_cells(tier, p.as_arrays())]
-        else:
-            try:
-                cells = _eval_master(p, trunc_full if tier == "master_full" else trunc_effective, tier == "master_full")
-            except Exception as exc:  # per-point failures are recorded, never fatal
-                cells = (None, None, None, None, _error_status(exc), None)
-        rows.append(_row(tuple(axis_values), tier, cells))
-    return rows
-
-
-def _point_errors(spec: SweepSpec) -> list[str | None] | None:
-    """Per grid point, the error status of its invalid SystemParams, or None.
-
-    Returns None when every point is valid. Each axis value is validated
-    once; only a point where two axis values are invalid is built whole,
-    to name the field SystemParams checks first.
-    """
-    per_axis = []
-    for ax in spec.axes:
-        messages = []
-        for v in ax.values().tolist():
-            try:
-                spec.fixed.with_(**ax.param_updates(v))
-                messages.append(None)
-            except ValueError as exc:
-                messages.append(_error_status(exc))
-        per_axis.append(messages)
-    if not any(m for messages in per_axis for m in messages):
-        return None
-    errors = []
-    for values, messages in zip(spec.grid(), itertools.product(*per_axis)):
-        bad = [m for m in messages if m]
-        if len(bad) > 1:
-            try:
-                spec.point_params(values)
-            except ValueError as exc:
-                bad = [_error_status(exc)]
-        errors.append(bad[0] if bad else None)
-    return errors
-
-
-def _rows_to_cells(rows) -> tuple:
-    values = [[getattr(r, f) for r in rows] for f in VALUE_FIELDS]
-    return tuple(
-        col if f == "status" else np.array([np.nan if v is None else v for v in col], dtype=float)
-        for f, col in zip(VALUE_FIELDS, values)
-    )
-
-
-def _scatter(cells, valid, errors) -> tuple:
-    """A tier's cells at the ``valid`` points, spread over the whole grid;
-    the other points carry their error status and empty cells."""
-    out = []
-    for col in cells:
-        if isinstance(col, list):
-            full = list(errors)
-            for i, s in zip(valid.tolist(), col):
-                full[i] = s
-        else:
-            full = np.full(len(errors), np.nan)
-            full[valid] = col
-        out.append(full)
-    return tuple(out)
+    q = p.as_arrays()
+    return [
+        _row(tuple(axis_values), tier, [c[0] for c in _tier_cells(tier, q, p, trunc_effective, trunc_full)])
+        for tier in _canonical_tiers(tiers)
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point on every requested tier.
 
-    The grid tiers (GRID_TIERS) are evaluated once over the whole grid, the
-    master-equation tiers point by point, in order. Rows come out in
-    row-major grid order. A point whose parameters are invalid (a negative
-    or non-finite rate) gets an ``error:ValueError:...`` row on every tier.
+    Each tier is evaluated once over the grid's parameter arrays, in TIERS
+    order; rows come out in row-major grid order, tiers in TIERS order
+    within a point. The spec has already refused invalid parameters, so
+    an ``error:`` row is a tier's failure at run time.
     """
     arrays = spec.param_arrays()
     n = len(arrays["J"])
-    errors = _point_errors(spec)
-    valid = np.arange(n) if errors is None else np.flatnonzero([e is None for e in errors])
-    q = arrays if errors is None else {k: v[valid] for k, v in arrays.items()}
-    cells = {t: _grid_cells(t, q) for t in spec.tiers if t in GRID_TIERS}
-    master = tuple(t for t in spec.tiers if t not in GRID_TIERS)
-    if master:
-        points = list(spec.grid())
-        per_point = [
-            evaluate_point(spec.point_params(points[i]), master, spec.trunc_effective, spec.trunc_full)
-            for i in valid.tolist()
-        ]
-        for k, tier in enumerate(master):
-            cells[tier] = _rows_to_cells([rows[k] for rows in per_point])
-
-    if errors is not None:
-        cells = {t: _scatter(c, valid, errors) for t, c in cells.items()}
+    cells = [_tier_cells(t, arrays, spec.fixed, spec.trunc_effective, spec.trunc_full) for t in spec.tiers]
     T = len(spec.tiers)
-    columns = {ax.name: np.repeat(arrays[AXIS_ALIASES.get(ax.name, (ax.name,))[0]], T) for ax in spec.axes}
+    columns = {ax.name: np.repeat(arrays[ax.fields[0]], T) for ax in spec.axes}
     columns["tier"] = list(spec.tiers) * n
     for k, field in enumerate(VALUE_FIELDS):
         col = [None] * (n * T) if field == "status" else np.empty(n * T)
-        for t, tier in enumerate(spec.tiers):
-            col[t::T] = cells[tier][k]
+        for t, tier_cells in enumerate(cells):
+            col[t::T] = tier_cells[k]
         columns[field] = col
     return SweepResult(spec, columns)
 

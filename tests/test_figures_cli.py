@@ -76,6 +76,12 @@ class TestPresets:
         with pytest.raises(PresetGateError, match="truncation gate failed"):
             _gate_master_effective([p], trunc=(2, 2))
 
+    def test_gate_passes_undriven_probe(self):
+        # no drive: n is solver noise (n_c ~ -3.6e-39 at (3,3)), whose square
+        # underflows to 0; the moment floor must stay finite there
+        p = SystemParams(g_omega=200.0, g_kappa=500.0, J=2.0e5, delta_c=-2.0e5, delta_e=-2.0e5)
+        _gate_master_effective([p], trunc=(3, 3))  # must not raise
+
 
 class TestGateCalls:
     """Which presets gate their master tier, at which probes, before which sweep."""
@@ -266,6 +272,15 @@ class TestCli:
         result = self.runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out)])
         assert result.exit_code != 0
         assert "bad config" in result.output and "kappa_c" in result.output
+
+    def test_sweep_refuses_invalid_grid_point(self, tmp_path):
+        cfg = tmp_path / "negative_kappa.yaml"
+        cfg.write_text("axes:\n  - {name: kappa, min: -5.0e3, max: 5.0e3, count: 3}\n")
+        out = tmp_path / "out.csv"
+        result = self.runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "bad config: axis 'kappa': value -5000.0: kappa_c must be nonnegative" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config, message",

@@ -312,3 +312,50 @@ class TestThermalOccupation:
         w, t = 1e6, 10.0
         expected = 1.0 / math.expm1(hbar * w / (k * t))
         assert thermal_occupation(w, t) == pytest.approx(expected, rel=1e-12)
+
+
+class TestIntegrateTimeGrid:
+    """The shared ODE driver behind evolve, amplitude_dynamics and integrate_full."""
+
+    @staticmethod
+    def _vacuum_evolution(t_grid):
+        from msiblockade.liouvillian import DensityMatrix, build_liouvillian, evolve
+
+        s = make_space([2, 2])
+        L = build_liouvillian(build_effective_hamiltonian(params(), s), build_collapse_ops(params(), s))
+        rho0 = DensityMatrix(s, np.diag([1.0, 0.0, 0.0, 0.0]))
+        return rho0, evolve(rho0, L, t_grid)
+
+    @pytest.mark.parametrize("t_grid", [[math.inf], [math.nan], [0.0, math.nan], [-math.inf, 0.0]])
+    def test_non_finite_time_rejected(self, t_grid):
+        # solve_ivp never returns on these spans
+        from msiblockade.analytic import amplitude_dynamics
+        from msiblockade.semiclassical import integrate_full
+
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            integrate_full(params(), t_grid)
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            amplitude_dynamics(params(), t_grid)
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            self._vacuum_evolution(t_grid)
+
+    @pytest.mark.parametrize("settle_time", [math.nan, math.inf])
+    def test_non_finite_settle_time_rejected(self, settle_time):
+        from msiblockade.semiclassical import full_steady_state
+
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            full_steady_state(params(), settle_time=settle_time)
+
+    @pytest.mark.parametrize("t", [0.0, -1e-3])
+    def test_single_time_at_start_is_the_initial_state(self, t):
+        # the span from min(0, t) to t has zero length: the one column is y0
+        from msiblockade.analytic import amplitude_dynamics
+        from msiblockade.semiclassical import MeanFieldState, full_steady_state, integrate_full
+
+        rho0, (rho,) = self._vacuum_evolution([t])
+        assert np.array_equal(rho.matrix, rho0.matrix)
+        (amps,) = amplitude_dynamics(params(), [t])
+        assert (amps.c0, amps.cc, amps.ce, amps.cce, amps.ccc, amps.cee) == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert integrate_full(params(), [t]) == [MeanFieldState(0.0, 0.0, 0.0, 0.0)]
+        if t == 0.0:
+            assert full_steady_state(params(), settle_time=t) == MeanFieldState(0.0, 0.0, 0.0, 0.0)

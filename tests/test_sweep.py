@@ -379,6 +379,25 @@ class TestRunSweep:
         assert [astuple(r)[1:] for r in direct] == [astuple(r)[1:] for r in swept]
         assert direct[1].status == "ok" and direct[1].g2_c is not None
 
+    def test_evaluate_point_matches_sweep_error_row(self):
+        # kappa = 0 leaves the driven effective model without dissipation:
+        # the steady state fails at that point only
+        spec = SweepSpec(
+            axes=(AxisSpec("kappa", 0.0, 5.0e3, 2),),
+            fixed=SystemParams(
+                g_omega=200.0, g_kappa=500.0, J=2.0e5, delta_c=-2.0e5, delta_e=-2.0e5, eps_c=5e3, eps_e=5e3
+            ),
+            tiers=("analytic", "master_effective"),
+            trunc_effective=(3, 3),
+        )
+        rows = run_sweep(spec).rows
+        assert rows[1].status == "error:SteadyStateError:no dissipation: the steady manifold is degenerate"
+        assert (rows[1].g2_c, rows[1].g2_e, rows[1].n_c, rows[1].n_e, rows[1].residual) == (None,) * 5
+        assert rows[3].status == "ok"
+        for k, values in enumerate(spec.grid()):
+            direct = evaluate_point(spec.point_params(values), spec.tiers, trunc_effective=(3, 3), axis_values=values)
+            assert [astuple(r) for r in direct] == [astuple(r) for r in rows[2 * k:2 * k + 2]]
+
     def test_determinism_byte_identical(self):
         spec = parse_config(FULL)
         a = run_sweep(spec).to_csv()
@@ -410,10 +429,10 @@ STATUS_GRIDS = {
         fixed=SystemParams(g_kappa=500.0, J=J0, delta_c=-J0, eps_c=5e3, eps_e=5e3),
         tiers=("analytic", "semiclassical"),
     ),
-    # kappa < 0: invalid point; kappa = 0 at delta = -J: the mean-field
-    # seed's D_J pole; eps_c = 0: zero drive, eps_c = 5e3: unequal drives
+    # kappa = 0 at delta = -J: the mean-field seed's D_J pole; eps_c = 0:
+    # zero drive, eps_c = 5e3: unequal drives
     "drives_and_rates": SweepSpec(
-        axes=(AxisSpec("kappa", -5.0e3, 5.0e3, 3), AxisSpec("eps_c", 0.0, 5.0e3, 2)),
+        axes=(AxisSpec("kappa", 0.0, 5.0e3, 2), AxisSpec("eps_c", 0.0, 5.0e3, 2)),
         fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, delta_c=-J0, delta_e=-J0),
         tiers=("analytic", "semiclassical"),
     ),
@@ -423,7 +442,7 @@ STATUSES = {
         "c:pole_fA;e:pole_fA;amps:pole_DJ", "e:pole_JplusDeltaC;amps:pole_DJ",
         "c:pole_fA;e:pole_fA", "e:pole_JplusDeltaC", "ok",
     },
-    "drives_and_rates": {"error:ValueError:kappa_c must be nonnegative", "e:pole_JplusDeltaC", "pole_DJ", "ok"},
+    "drives_and_rates": {"e:pole_JplusDeltaC", "pole_DJ", "ok"},
 }
 
 
@@ -439,13 +458,7 @@ class TestGridTiers:
         assert set(result.columns["status"]) == STATUSES[name]
         for k, values in enumerate(spec.grid()):
             analytic, semi = result.rows[2 * k:2 * k + 2]
-            try:
-                p = spec.point_params(values)
-            except ValueError as exc:
-                for row in (analytic, semi):
-                    assert row.status == f"error:ValueError:{exc}"
-                    assert (row.g2_c, row.g2_e, row.n_c, row.n_e, row.residual) == (None,) * 5
-                continue
+            p = spec.point_params(values)
             direct = evaluate_point(p, spec.tiers, axis_values=values)
             assert [astuple(r) for r in direct] == [astuple(analytic), astuple(semi)]
 
@@ -465,8 +478,7 @@ class TestGridTiers:
                 assert semi.status == ("ok" if ok else "no_convergence")
                 assert (semi.n_c, semi.n_e) == (abs(ac) * abs(ac), abs(ae) * abs(ae))
 
-    def test_invalid_axis_values_validated_once(self, monkeypatch):
-        spec = STATUS_GRIDS["drives_and_rates"]
+    def test_axis_values_validated_once_when_spec_is_built(self, monkeypatch):
         calls = []
         validate = SystemParams.__post_init__
 
@@ -475,43 +487,60 @@ class TestGridTiers:
             validate(self)
 
         monkeypatch.setattr(SystemParams, "__post_init__", counting)
+        axes = (AxisSpec("kappa", 0.0, 5.0e3, 3), AxisSpec("eps_c", 0.0, 5.0e3, 2))
+        spec = SweepSpec(axes=axes, fixed=STATUS_GRIDS["drives_and_rates"].fixed, tiers=("analytic", "semiclassical"))
+        assert len(calls) == 3 + 2
+        calls.clear()
         run_sweep(spec)
-        assert len(calls) == sum(ax.count for ax in spec.axes)
+        assert calls == []  # the grid tiers run on arrays and build no SystemParams
 
-    def test_both_axes_invalid_names_first_checked_field(self):
-        spec = SweepSpec(axes=(AxisSpec("gamma", -1.0, 1.0, 2), AxisSpec("kappa_e", -1.0, 1.0, 2)))
-        statuses = [r.status for r in run_sweep(spec).rows]
-        # SystemParams checks kappa_e before gamma
-        kappa_e, gamma = (f"error:ValueError:{f} must be nonnegative" for f in ("kappa_e", "gamma"))
-        assert statuses[:3] == [kappa_e, gamma, kappa_e]
-        assert statuses[3] == evaluate_point(spec.point_params((1.0, 1.0)), spec.tiers)[0].status
 
-    def test_non_finite_grid_value_gives_error_row(self):
+class TestInvalidGrid:
+    """A grid with an invalid point is refused when its spec is built."""
+
+    def test_both_axes_invalid_names_first_axis(self):
+        # the axes are checked in order, each value against ``fixed`` alone
+        with pytest.raises(ConfigError, match=r"^axis 'gamma': value -1.0: gamma must be nonnegative$"):
+            SweepSpec(axes=(AxisSpec("gamma", -1.0, 1.0, 2), AxisSpec("kappa_e", -1.0, 1.0, 2)))
+        with pytest.raises(ConfigError, match=r"^axis 'kappa_e': value -1.0: kappa_e must be nonnegative$"):
+            SweepSpec(axes=(AxisSpec("gamma", 0.0, 1.0, 2), AxisSpec("kappa_e", -1.0, 1.0, 2)))
+
+    def test_non_finite_grid_value_refused(self):
         # a log axis up to the largest float overflows to inf at its last point
-        spec = SweepSpec(
-            axes=(AxisSpec("kappa", 5.0e3, sys.float_info.max, 2, "log"),),
-            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, eps_c=5e3, eps_e=5e3),
-            tiers=("analytic", "semiclassical"),
-        )
+        axis = AxisSpec("kappa", 5.0e3, sys.float_info.max, 2, "log")
         with np.errstate(over="ignore"):
-            first, last = spec.axes[0].values().tolist()
-            rows = run_sweep(spec).rows
-        assert last == math.inf
-        assert [r.status for r in rows[2:]] == ["error:ValueError:kappa_c must be finite"] * 2
-        assert [astuple(r) for r in rows[:2]] == [
-            astuple(r) for r in evaluate_point(spec.point_params((first,)), spec.tiers, axis_values=(first,))
-        ]
+            assert axis.values()[-1] == math.inf
+            with pytest.raises(ConfigError, match=r"^axis 'kappa': value inf: kappa_c must be finite$"):
+                SweepSpec(axes=(axis,), tiers=("analytic", "semiclassical"))
 
-    def test_master_tier_rows_at_invalid_points(self):
-        spec = SweepSpec(
-            axes=(AxisSpec("kappa", -5.0e3, 5.0e3, 2),),
-            fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, eps_c=5e3, eps_e=5e3),
-            tiers=("master_effective", "semiclassical"),
-            trunc_effective=(3, 3),
-        )
-        rows = run_sweep(spec).rows
-        assert [r.tier for r in rows] == ["master_effective", "semiclassical"] * 2
-        assert [r.status for r in rows[:2]] == ["error:ValueError:kappa_c must be nonnegative"] * 2
-        assert [astuple(r) for r in rows[2:]] == [
-            astuple(r) for r in evaluate_point(spec.point_params((5.0e3,)), spec.tiers, trunc_effective=(3, 3), axis_values=(5.0e3,))
-        ]
+    def test_invalid_point_refused_before_any_tier_runs(self, monkeypatch):
+        def unreachable(L):
+            raise AssertionError("a master tier ran")
+
+        monkeypatch.setattr(sweep, "steady_state", unreachable)
+        with pytest.raises(ConfigError, match=r"^axis 'kappa': value -5000.0: kappa_c must be nonnegative$"):
+            SweepSpec(
+                axes=(AxisSpec("kappa", -5.0e3, 5.0e3, 2),),
+                fixed=SystemParams(g_omega=200.0, g_kappa=500.0, J=J0, eps_c=5e3, eps_e=5e3),
+                tiers=("master_effective", "semiclassical"),
+                trunc_effective=(3, 3),
+            )
+        config = "axes:\n  - {name: kappa, min: -5.0e3, max: 5.0e3, count: 2}\ntiers: [master_effective]\n"
+        with pytest.raises(ConfigError, match="axis 'kappa': value -5000.0: kappa_c must be nonnegative"):
+            parse_config(config)
+
+    @pytest.mark.parametrize(
+        "names, shared",
+        [
+            (("kappa", "kappa_c"), "kappa_c"),
+            (("J", "J"), "J"),
+            (("delta_e", "delta"), "delta_e"),
+            (("eps", "eps"), "eps_c, eps_e"),
+        ],
+        ids=["kappa_and_kappa_c", "J_twice", "delta_e_and_delta", "eps_twice"],
+    )
+    def test_axes_setting_the_same_field_refused(self, names, shared):
+        axes = tuple(AxisSpec(name, 0.0, 1.0, 2) for name in names)
+        with pytest.raises(ConfigError, match=f"^axes {names[0]!r} and {names[1]!r} both set {shared}$"):
+            SweepSpec(axes=axes)
+
