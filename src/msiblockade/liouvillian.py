@@ -8,13 +8,24 @@ cached; no steady-state solver reads it. Both solvers work from the split
 L rho = P rho + rho Q + sum_o o rho o^H, with P = -i H - D/2, Q =
 i H_right - D/2 (so Q = P^H for ``sandwich``) and D = sum_o o^H o.
 
-Steady states of small superoperators are solved directly by RCM-banded
-LU (LAPACK ``gbsv``): the entries of the trace-row system are summed from
-P, Q and the jumps straight into band storage, and factored with partial
-pivoting. The reverse Cuthill-McKee renumbering, the bandwidths and the
-scatter positions depend only on the sparsity pattern; they are taken on
-the pattern (not on values, whose sums can cancel) once per pattern and
-cached. Above ``DIRECT_LIMIT`` a matrix-free Krylov method is
+Steady states of small superoperators are solved directly: L with its
+vacuum row replaced by tr(rho) = 1 (the trace-row system). Where the
+basis is graded by the total occupation N (the drive changes N by one,
+every jump lowers it by one, the rest of L keeps it), the system is
+first solved order by order in the drive (:func:`_series_sums`): each
+order is a back-substitution of small Sylvester equations over the
+blocks of N-sectors, so small moments such as <a^dag a^dag a a> keep
+their own scale. A row takes the series only when it is certified
+(:func:`_steady_series`: the partial sums at orders 8 and 10 agree in
+every mode's n and g2, and the residual is small); the series stops
+early when its residual is not converging. Every other row is solved by
+RCM-banded LU (LAPACK ``gbsv``): the entries of the trace-row system are
+summed from P, Q and the jumps straight into band storage, and factored
+with partial pivoting. The reverse Cuthill-McKee renumbering, the
+bandwidths and the scatter positions depend only on the sparsity
+pattern; they are taken on the pattern (not on values, whose sums can
+cancel) once per pattern and cached. Above ``DIRECT_LIMIT`` a
+matrix-free Krylov method is
 used that never forms the superoperator: with L0 X = P X + X Q and the
 jump part sum_k o_k X o_k^H, the steady state is recovered as the
 dominant eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each
@@ -23,12 +34,13 @@ L0 as a Sylvester equation in the eigenbases of P and Q (four dense
 products), falling back to a Schur-factored ``trsyl`` solve when either
 eigenvector matrix's condition number exceeds ``EIGENBASIS_COND_LIMIT``.
 Two power steps x <- M x polish ARPACK's Ritz vector before the residual
-is taken. The band LU and the Krylov solve run with the bundled OpenBLAS
-libraries at one thread (``blas.single_thread``); the caller's thread
-counts are restored when they return or raise. Both solvers take the
-residual from the factors and its scale max|L| from the entry classes
-(:func:`_entry_scale`), so neither needs the matrix for it; max|L| is exact
-on every model ``build_collapse_ops`` makes and an upper bound otherwise.
+is taken. The series, the band LU and the Krylov solve run with the
+bundled OpenBLAS libraries at one thread (``blas.single_thread``); the
+caller's thread counts are restored when they return or raise. All of
+them take the residual from the factors and its scale max|L| from the
+entry classes (:func:`_entry_scale`), so none needs the matrix for it;
+max|L| is exact on every model ``build_collapse_ops`` makes and an upper
+bound otherwise.
 """
 
 from __future__ import annotations
@@ -54,8 +66,18 @@ from .model import _integrate
 # solve there took 25 ms, 190 ms and 1.4 s (2-vCPU host, best of 2 to 7)
 # with bands of 10, 71 and 334 MB. Summing the band from the factors with
 # a cached layout took the (6,6) solve from 19.1 to 15.5 ms (best of 40),
-# of which gbsv is 12.6 ms
+# of which gbsv is 12.6 ms. Rows the drive-order series certifies skip the
+# band: a whole (6,6) direct solve then takes about 2.4 ms (best of 5 x 200
+# on the same host), and its cost barely grows with the truncation, since
+# the series only reaches states with N <= SERIES_ORDER
 DIRECT_LIMIT = 10_000
+
+# the drive-order series in front of the band LU (:func:`_series_sums`):
+# its highest order K, and the tolerance its rows must meet: the K - 2 and
+# K partial sums' n and g2, the residual, and the residual extrapolated
+# to K after order 4
+SERIES_ORDER = 10
+SERIES_TOL = 1e-12
 
 CONVENTIONS = ("commutator", "sandwich")
 
@@ -406,8 +428,190 @@ def _trace_row_band(P, Q, jumps, scale: float):
     return ab.reshape((-1, n * n), order="F"), layout.kl, layout.ku, layout.inv
 
 
-def _steady_direct(L: Superoperator) -> SteadyStateResult:
-    P, Q, jumps, scale = _generator(L)
+@dataclass(frozen=True)
+class _Grading:
+    """A space's basis graded by the total occupation N, for :func:`_series_sums`.
+
+    ``far`` marks the entries (i, j) of an operator with |N_i - N_j| > 1,
+    ``unlowered`` those with N_i != N_j - 1.
+    ``order`` lists the states with N <= SERIES_ORDER by N (the vacuum,
+    state 0, first), and ``ends[m]`` counts those with N <= m. On that
+    order, ``step`` holds |N_i - N_j|, ``reach`` marks the entries with
+    N_i + N_j <= SERIES_ORDER but the vacuum one, and ``antidiagonal[m]``
+    marks, on the leading ``ends[m]`` square, those with N_i + N_j = m.
+    ``sectors`` holds, per sector size s, the (rows, cols) indices of
+    shape (count, s, s) that stack the diagonal blocks of that size.
+    """
+
+    far: np.ndarray
+    unlowered: np.ndarray
+    order: np.ndarray
+    ends: np.ndarray
+    step: np.ndarray
+    reach: np.ndarray
+    antidiagonal: tuple[np.ndarray, ...]
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=4)
+def _grading(mode_dims: tuple[int, ...]) -> _Grading:
+    space = HilbertSpace(mode_dims)
+    N = sum(occupations(space, m) for m in range(space.n_modes))
+    order = np.flatnonzero(N <= SERIES_ORDER)
+    order = order[np.argsort(N[order], kind="stable")]
+    grade = N[order]
+    ends = np.searchsorted(grade, np.arange(SERIES_ORDER + 1), side="right")
+    total = grade[:, None] + grade[None, :]
+    reach = total <= SERIES_ORDER
+    reach[0, 0] = False
+    starts, sizes = np.concatenate([[0], ends[:-1]]), np.diff(ends, prepend=0)
+    sectors = []
+    for size in np.unique(sizes[sizes > 0]):
+        at = starts[sizes == size][:, None, None] + np.zeros((size, size), dtype=np.intp)
+        ramp = np.arange(size)
+        sectors.append((_frozen(at + ramp[:, None]), _frozen(at + ramp[None, :])))
+    step = N[:, None] - N[None, :]
+    return _Grading(
+        _frozen(np.abs(step) > 1),
+        _frozen(step != -1),
+        _frozen(order),
+        _frozen(ends),
+        _frozen(np.abs(grade[:, None] - grade[None, :])),
+        _frozen(reach),
+        tuple(_frozen(total[:e, :e] == m) for m, e in enumerate(ends)),
+        tuple(sectors),
+    )
+
+
+def _sector_eig(A: np.ndarray, sectors):
+    """(w, V, V^-1) with A = V diag(w) V^-1, for A block diagonal over ``sectors`` (:class:`_Grading`)."""
+    w, V, Vi = np.empty(A.shape[0], dtype=complex), np.zeros_like(A), np.zeros_like(A)
+    for rows, cols in sectors:
+        w[rows[:, :, 0]], V[rows, cols] = np.linalg.eig(A[rows, cols])
+        Vi[rows, cols] = np.linalg.inv(V[rows, cols])
+    return w, V, Vi
+
+
+def _series_sums(L: Superoperator, P, Q, scale: float):
+    """The partial sums of rho = sum_k rho_k at k <= SERIES_ORDER - 2 and <= SERIES_ORDER, or None.
+
+    With N the total occupation, L = L0 + L1 where L1 rho = P1 rho + rho Q1
+    holds the parts of P and Q that change N by one (the drive) and L0 rho =
+    P0 rho + rho Q0 + sum_o o rho o^H the rest. rho_0 = |0><0|, and order k
+    solves L0 rho_k = -L1 rho_(k-1) in every entry but the vacuum one, which
+    tr rho_k = 0 replaces: term by term, the trace-row system of the band
+    LU. rho_k lives on the blocks (p, q) of N-sectors with p + q <= k of k's
+    parity; from the highest p + q down, block (p, q) is the Sylvester
+    equation P0_p X + X Q0_q = -(L1 rho_(k-1))_pq - sum_o o rho_k(p+1, q+1)
+    o^H. Each sector's P0_p (and, for ``commutator``, Q0_q) is diagonalized
+    once, so every solve is an elementwise division in those eigenbases, and
+    a whole anti-diagonal p + q is solved at once. The sums are the dense
+    rho on the whole space (zero where N > SERIES_ORDER).
+
+    None, when the series cannot serve L: a jump that does not lower N by
+    exactly one, or an entry of P or Q that changes N by more than one; a
+    zero Sylvester denominator, a defective sector, or a sector eigenbasis
+    with 1-norm condition number above ``EIGENBASIS_COND_LIMIT``; or when
+    the residual ||L1 rho_K|| / max|L| of the partial sums at K = 2 and
+    K = 4, extrapolated geometrically, stays above ``SERIES_TOL`` at
+    K = SERIES_ORDER.
+    """
+    g = _grading(L.space.mode_dims)
+    if any(np.any(o.data[g.unlowered]) for o in L.collapse_ops) or np.any(P[g.far]) or np.any(Q[g.far]):
+        return None
+    ends, n = g.ends, g.order.size
+    block = np.ix_(g.order, g.order)
+    P = P[block]
+    sandwich = L.convention == "sandwich"
+    try:
+        w, V, Vi = _sector_eig(np.where(g.step == 0, P, 0), g.sectors)
+        if sandwich:  # Q0 = P0^H = U diag(u) U^-1 with U = V^-H
+            u, U, Ui = w.conj(), Vi.conj().T, V.conj().T
+        else:
+            Q = Q[block]
+            u, U, Ui = _sector_eig(np.where(g.step == 0, Q, 0), g.sectors)
+    except np.linalg.LinAlgError:  # a defective sector
+        return None
+    cond = max(np.abs(A).sum(axis=0).max() * np.abs(B).sum(axis=0).max() for A, B in ((V, Vi), (U, Ui)))
+    if cond > EIGENBASIS_COND_LIMIT:
+        return None
+    # 1 / (w_i + u_j) on the blocks the series reaches, but not the vacuum
+    # entry, whose equation is the trace's
+    denominator = np.where(g.reach, w[:, None] + u[None, :], 1.0)
+    if np.any(denominator == 0):
+        return None
+    S = np.where(g.reach, -1.0 / denominator, 0.0)
+    S = [S[:e, :e] * mask for e, mask in zip(ends, g.antidiagonal)]
+    # the drive and the jumps in the eigenbases: X~ = V^-1 X U
+    P1 = Vi @ np.where(g.step == 1, P, 0) @ V
+    left = np.stack([Vi @ o.data[block] @ V for o in L.collapse_ops])
+    if sandwich:
+        Q1, right = P1.conj().T, left.conj().transpose(0, 2, 1)
+    else:
+        Q1 = Ui @ np.where(g.step == 1, Q, 0) @ U
+        right = np.stack([Ui @ o.data[block].conj().T @ U for o in L.collapse_ops])
+    trace = (Ui @ V).T  # tr X = sum(X~ * trace)
+    rho = np.zeros((n, n), dtype=complex)
+    rho[0, 0] = 1.0
+    total, partial = rho, {}
+    for k in range(1, SERIES_ORDER + 1):
+        a, b = ends[k - 1], ends[k]
+        source = np.zeros((b, b), dtype=complex)
+        source[:, :a] = P1[:b, :a] @ rho[:a, :a]
+        source[:a, :] += rho[:a, :a] @ Q1[:a, :b]
+        if k - 1 in (2, 4):
+            # the residual of the partial sum at K = k - 1, off the vacuum entry
+            partial[k - 1] = np.linalg.norm(V[:b, :b] @ source @ Ui[:b, :b]) / scale
+        if k == 5:
+            # bail out when r4 (r4 / r2)^((K - 4) / 2), the geometric extrapolation
+            # to K = SERIES_ORDER, exceeds SERIES_TOL (in a form that cannot overflow)
+            r2, r4 = partial[2], partial[4]
+            if r4 > SERIES_TOL and r4 > r2 * (SERIES_TOL / r4) ** (2 / (SERIES_ORDER - 4)):
+                return None
+        rho = np.zeros((n, n), dtype=complex)
+        for m in range(k, 0, -2):
+            e = ends[m]
+            X = source[:e, :e] * S[m]
+            rho[:e, :e] += X
+            if m > 2:  # the jumps feed anti-diagonal m - 2 (m = 2 feeds only the vacuum entry)
+                f = ends[m - 2]
+                source[:f, :f] += np.sum(left[:, :f, :e] @ X @ right[:, :e, :f], axis=0)
+        if k % 2 == 0:
+            rho[0, 0] = -np.sum(rho * trace)
+        total = total + rho
+        if k == SERIES_ORDER - 2:
+            short = total
+    sums = []
+    for t in (short, total):
+        full = np.zeros((L.space.dim, L.space.dim), dtype=complex)
+        full[block] = V @ t @ Ui
+        sums.append(full)
+    return sums
+
+
+def _steady_series(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResult | None:
+    """The drive-order series' steady state when it is certified, else None.
+
+    Certified: every mode's n and g2 are finite and agree between the
+    partial sums at SERIES_ORDER - 2 and SERIES_ORDER to ``SERIES_TOL``
+    relative, and :func:`_finish`'s residual is at most ``SERIES_TOL``.
+    """
+    sums = _series_sums(L, P, Q, scale)
+    if sums is None:
+        return None
+    res = _finish(L.space, sums[1], P, Q, jumps, scale, "direct")
+    if not res.residual <= SERIES_TOL:
+        return None
+    for mode in range(L.space.n_modes):
+        short = _moments(L.space, sums[0].diagonal(), mode)
+        for a, b in zip(short, _moments(L.space, res.state.matrix.diagonal(), mode)):
+            if not (np.isfinite(b) and abs(a - b) <= SERIES_TOL * abs(b)):
+                return None
+    return res
+
+
+def _steady_band(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResult:
+    """The trace-row system solved by RCM-banded LU (LAPACK ``gbsv``)."""
     ab, kl, ku, inv = _trace_row_band(P, Q, jumps, scale)
     # right-hand side: 1 in the trace row, wherever the renumbering put it
     b = np.zeros(ab.shape[1], dtype=complex)
@@ -426,6 +630,14 @@ def _steady_direct(L: Superoperator) -> SteadyStateResult:
     if not np.all(np.isfinite(x)):
         raise SteadyStateError("direct solve produced non-finite entries (singular system)")
     return _finish(L.space, devectorize(x, L.space).matrix, P, Q, jumps, scale, "direct")
+
+
+def _steady_direct(L: Superoperator) -> SteadyStateResult:
+    """The drive-order series where it is certified, the band LU everywhere else."""
+    P, Q, jumps, scale = _generator(L)
+    with blas.single_thread():
+        res = _steady_series(L, P, Q, jumps, scale)
+    return res if res is not None else _steady_band(L, P, Q, jumps, scale)
 
 
 # cond(V) of P = V diag(w) V^-1 (or of Q's eigenvectors) above which the
@@ -524,8 +736,16 @@ def _steady_krylov(L: Superoperator) -> SteadyStateResult:
 def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     """Solve L vec(rho) = 0 with unit trace.
 
-    ``direct`` replaces one row with the trace constraint and LU-factors
-    the system by RCM-banded LU (LAPACK ``gbsv``, partial pivoting, one
+    ``direct`` replaces the vacuum row with the trace constraint. Where
+    the generator is graded by the total occupation (the drive changes it
+    by one, every jump lowers it by one), it first solves that system
+    order by order in the drive, to order ``SERIES_ORDER`` (one OpenBLAS
+    thread). The series' state is returned, still as ``direct``, only when
+    every mode's n and g2 agree between orders SERIES_ORDER - 2 and
+    SERIES_ORDER to ``SERIES_TOL`` relative and the residual is at most
+    ``SERIES_TOL``; it stops after order 4 when its residual, extrapolated
+    from orders 2 and 4, cannot reach ``SERIES_TOL``. Otherwise the system
+    is LU-factored by RCM-banded LU (LAPACK ``gbsv``, partial pivoting, one
     OpenBLAS thread; the band takes 16 (3 kl + 1) L.dim bytes, 10 MB at
     (6,6), 334 MB at (10,10) and 2 GB on ``master_full`` at (4,4,8)); the
     band is summed from the factors and its RCM layout is cached per
@@ -536,7 +756,7 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     number above ``EIGENBASIS_COND_LIMIT``; ARPACK's eigenvector polished
     by two power steps; one OpenBLAS thread for the whole solve, the
     caller's thread counts restored afterwards); ``auto`` picks by
-    superoperator dimension. Neither reads ``L.matrix``. The
+    superoperator dimension. Neither method reads ``L.matrix``. The
     residual is ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to
     the operator scale (raw Liouvillian entries are of order omega_m, so an
     absolute residual would just restate the frequency units). Both methods
@@ -601,10 +821,14 @@ def mode_statistics(rho: DensityMatrix, mode: int) -> tuple[float, float]:
     ((sqrt(n) sqrt(n-1)) sqrt(n-1)) sqrt(n), which keeps the result equal bit
     for bit to Tr(A rho) with the assembled operators.
     """
-    occ = occupations(rho.space, mode).astype(float)
+    return _moments(rho.space, rho.matrix.diagonal(), mode)
+
+
+def _moments(space: HilbertSpace, diag: np.ndarray, mode: int) -> tuple[float, float]:
+    """:func:`mode_statistics` from the diagonal ``diag`` of a state on ``space``."""
+    occ = occupations(space, mode).astype(float)
     root, lower = np.sqrt(occ), np.sqrt(np.maximum(occ - 1.0, 0.0))
     quad = root * lower * lower * root
-    diag = rho.matrix.diagonal()
     n = float(np.real(np.sum(occ * diag)))
     g2_num = float(np.real(np.sum(quad * diag)))
     if n == 0.0:

@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from msiblockade import liouvillian
 from msiblockade.figures import MOMENT_FLOOR
-from msiblockade.fock import OperatorMatrix, annihilation, make_space, number
+from msiblockade.fock import OperatorMatrix, annihilation, make_space, number, occupations
 from msiblockade.liouvillian import (
     DensityMatrix,
     SteadyStateError,
@@ -452,17 +452,154 @@ class TestBandedDirect:
         ],
         ids=["fig3", "fig7_kappa_1e-3"],
     )
-    @pytest.mark.parametrize("method", ["direct", "krylov"])
+    # "band" is the band LU on its own: the drive-order series serves fig3
+    # through steady_state, while the kappa = 1e-3 Hz row is left to the LU
+    @pytest.mark.parametrize("method", ["direct", "krylov", "band"])
     def test_matches_dense_solve(self, params, method):
         L = effective_liouvillian(params)
         dense = dense_steady_state(L)
-        res = steady_state(L, method=method)
-        assert res.method == method
+        if method == "band":
+            res = liouvillian._steady_band(L, *liouvillian._generator(L))
+        else:
+            res = steady_state(L, method=method)
+        assert res.method == ("direct" if method == "band" else method)
         for mode in (0, 1):
             n_ref, g2_ref = mode_statistics(dense, mode)
             n_s, g2_s = mode_statistics(res.state, mode)
             assert n_s == pytest.approx(n_ref, rel=SOLVER_RTOL)
             assert abs(g2_s - g2_ref) <= SOLVER_RTOL * abs(g2_ref) + MOMENT_FLOOR / n_ref**2
+
+
+def graded_model(seed, dims):
+    """A random photon-graded Lindbladian: only the drive changes N = sum of occupations, by one.
+
+    H is Hermitian: a random complex matrix on each N-sector plus a weak
+    random coupling of neighbouring sectors (the drive). Each of the two
+    jumps is a random complex matrix from sector N + 1 to N.
+    """
+    rng = np.random.default_rng(seed)
+    s = make_space(dims)
+    N = sum(occupations(s, m) for m in range(s.n_modes))
+    step = N[:, None] - N[None, :]
+
+    def rand():
+        return rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+
+    h = 1e3 * rand() * (step == 0) + 2.0 * rand() * (step == 1)
+    jumps = [OperatorMatrix(s, 30.0 * rand() * (step == -1)) for _ in range(2)]
+    return OperatorMatrix(s, h + h.conj().T), jumps
+
+
+def dephased(L, gamma):
+    """L with a sqrt(gamma) a^dag a jump on mode 0 added."""
+    return build_liouvillian(L.hamiltonian, [*L.collapse_ops, math.sqrt(gamma) * number(L.space, 0)], L.convention)
+
+
+def series(L):
+    return liouvillian._steady_series(L, *liouvillian._generator(L))
+
+
+def band(L):
+    return liouvillian._steady_band(L, *liouvillian._generator(L))
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(bits(got.state.matrix), bits(want.state.matrix))
+    assert got.residual == want.residual and got.method == want.method == "direct"
+
+
+# the preset point, J = -Delta = 2e5, g_omega = 200, g_kappa = 500
+PRESET = dict(delta_c=-2.0e5, delta_e=-2.0e5)
+
+
+class TestDriveOrderSeries:
+    """The direct solve: the drive-order series where it is certified, the band LU elsewhere."""
+
+    # refined trace-row values: dense LU in double with long-double residual
+    # corrections on the dense (6,6) and (8,8) systems. The band LU gives
+    # 1.0000094090205205 and 0.9999980657704106.
+    @pytest.mark.parametrize(
+        "levels, g2_c", [((6, 6), 1.0000102535448436), ((8, 8), 1.0000102535448445)], ids=["6-6", "8-8"]
+    )
+    def test_preset_point_matches_refined_value(self, levels, g2_c):
+        res = steady_state(effective_liouvillian(fig3_params(**PRESET), levels), method="direct")
+        assert abs(mode_statistics(res.state, 0)[1] - g2_c) <= 1e-12 * g2_c
+
+    def test_fig3_edge_matches_refined_value(self):
+        # Delta = -5e5, where the band LU gives 1.0000001586 at (6,6) and
+        # 1.00014055 at (8,8)
+        res = steady_state(effective_liouvillian(fig3_params(delta_c=-5.0e5, delta_e=-5.0e5)), method="direct")
+        assert abs(mode_statistics(res.state, 0)[1] - 1.0000001766) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "params",
+        [fig3_params(**PRESET), fig3_params(g_omega=650.0, g_kappa=825.0, **PRESET)],
+        ids=["preset", "fig6-650-825"],
+    )
+    def test_certified_rows_take_the_series(self, params):
+        L = effective_liouvillian(params)
+        got = series(L)
+        assert got is not None and got.residual <= liouvillian.SERIES_TOL
+        assert_same_result(steady_state(L, method="direct"), got)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # the benchmark's detuning cuts: a 5e4 Hz drive, Delta near +J
+            lambda: effective_liouvillian(
+                fig3_params(g_kappa=0.0, eps_c=5.0e4, eps_e=5.0e4, delta_c=1.9e5, delta_e=1.9e5)
+            ),
+            # defect 2's point: the K = 8 and K = 10 sums give g2_c =
+            # 1.23751491694 and 1.23751491693 (refined: 1.2375149169), 8.6e-12
+            # apart, so the row is not certified
+            lambda: effective_liouvillian(
+                fig3_params(g_omega=800.0, g_kappa=800.0, J=3.0e5, delta_c=-3.0e5, delta_e=-3.0e5,
+                            kappa_c=1.0, kappa_e=1.0)
+            ),
+            # a sqrt(gamma) a^dag a dephasing jump keeps N: not photon-graded
+            lambda: dephased(effective_liouvillian(fig3_params(**PRESET)), gamma=10.0),
+        ],
+        ids=["detuning-cut-5e4", "kappa-1", "dephasing"],
+    )
+    def test_uncertified_rows_take_the_band_lu_bit_for_bit(self, build):
+        L = build()
+        assert series(L) is None
+        assert_same_result(steady_state(L, method="direct"), band(L))
+
+    def test_diverging_series_bails_out_before_its_last_order(self, monkeypatch):
+        # at the detuning cut's point the partial-sum residual grows from
+        # 4.8 at K = 2 to 241 at K = 4; the series stops there, so only the
+        # band LU's state reaches _finish
+        L = effective_liouvillian(fig3_params(g_kappa=0.0, eps_c=5.0e4, eps_e=5.0e4, delta_c=1.9e5, delta_e=1.9e5))
+        finished = []
+        finish = liouvillian._finish
+        monkeypatch.setattr(liouvillian, "_finish", lambda *args: finished.append(args) or finish(*args))
+        steady_state(L, method="direct")
+        assert len(finished) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_random_graded_models_solve_the_trace_row_system(self, seed, convention):
+        # the commutator branch diagonalizes Q0 on its own; with Hermitian H
+        # both conventions give the same state
+        H, jumps = graded_model(seed, [(6,), (3, 4), (4, 4), (2, 2, 3)][seed])
+        L = build_liouvillian(H, jumps, convention)
+        got = series(L)
+        assert got is not None
+        dense = dense_steady_state(L).matrix
+        assert np.max(np.abs(got.state.matrix - dense)) <= 1e-12 * np.max(np.abs(dense))
+        for mode in range(L.space.n_modes):
+            n_ref, g2_ref = mode_statistics(DensityMatrix(L.space, dense), mode)
+            n_s, g2_s = mode_statistics(got.state, mode)
+            assert n_s == pytest.approx(n_ref, rel=1e-10)
+            assert abs(g2_s - g2_ref) <= SOLVER_RTOL * abs(g2_ref) + MOMENT_FLOOR / n_ref**2
+
+    def test_non_hermitian_commutator_model_left_to_the_band_lu(self):
+        # the trace-row solution is not Hermitian here, so the hermitized
+        # series state misses the residual gate (7.8e-12)
+        L = effective_liouvillian(fig3_params(**PRESET), convention="commutator")
+        assert series(L) is None
+        assert_same_result(steady_state(L, method="direct"), band(L))
 
 
 class TestSteadyState:
