@@ -4,29 +4,30 @@ Column-stacking convention throughout: vec(A rho B) = (B^T kron A) vec(rho).
 A :class:`Superoperator` holds the Hamiltonian and the collapse operators;
 its CSR ``matrix`` is assembled from Kronecker products only when read
 (by :func:`evolve`, ``apply`` and ``trace_preservation_defect``) and then
-cached; no steady-state solver reads it. Both solvers work from the split
+cached; no steady-state solver reads it. Every solver works from the split
 L rho = P rho + rho Q + sum_o o rho o^H, with P = -i H - D/2, Q =
 i H_right - D/2 (so Q = P^H for ``sandwich``) and D = sum_o o^H o.
 
-Steady states of small superoperators are solved directly: L with its
-vacuum row replaced by tr(rho) = 1 (the trace-row system). Where the
-basis is graded by the total occupation N (the drive changes N by one,
-every jump lowers it by one, the rest of L keeps it), the system is
-first solved order by order in the drive (:func:`_series_sums`): each
-order is a back-substitution of small Sylvester equations over the
-blocks of N-sectors, so small moments such as <a^dag a^dag a a> keep
-their own scale. A row takes the series only when it is certified
-(:func:`_steady_series`: the partial sums at orders 8 and 10 agree in
-every mode's n and g2, and the residual is small); the series stops
-early when its residual is not converging. Every other row is solved by
-RCM-banded LU (LAPACK ``gbsv``): the entries of the trace-row system are
-summed from P, Q and the jumps straight into band storage, and factored
-with partial pivoting. The reverse Cuthill-McKee renumbering, the
-bandwidths and the scatter positions depend only on the sparsity
+Steady states are first sought in the trace-row system: L with its
+vacuum row replaced by tr(rho) = 1. Where the basis is graded by the
+total occupation N (the drive changes N by one, every jump lowers it by
+one, the rest of L keeps it), that system is solved order by order in
+the drive (:func:`_series_sums`), at every size: each order is a
+back-substitution of small Sylvester equations over the blocks of
+N-sectors, so small moments such as <a^dag a^dag a a> keep their own
+scale, and only states with N <= SERIES_ORDER are reached. A row takes
+the series only when it is certified (:func:`_steady_series`: the
+partial sums at orders 8 and 10 agree in every mode's n and g2, and the
+residual is small); the series stops early when its residual is not
+converging. A row the series refuses goes, at or below ``DIRECT_LIMIT``,
+to RCM-banded LU (LAPACK ``gbsv``): the entries of the trace-row system
+are summed from P, Q and the jumps straight into band storage, and
+factored with partial pivoting. The reverse Cuthill-McKee renumbering,
+the bandwidths and the scatter positions depend only on the sparsity
 pattern; they are taken on the pattern (not on values, whose sums can
-cancel) once per pattern and cached. Above ``DIRECT_LIMIT`` a
-matrix-free Krylov method is
-used that never forms the superoperator: with L0 X = P X + X Q and the
+cancel) once per pattern and cached. Above ``DIRECT_LIMIT`` it goes to
+a matrix-free Krylov method that never forms the superoperator, built
+from the same factors: with L0 X = P X + X Q and the
 jump part sum_k o_k X o_k^H, the steady state is recovered as the
 dominant eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each
 application of M applies the jumps as sparse (CSR) operators and inverts
@@ -59,23 +60,27 @@ from . import blas
 from .fock import HilbertSpace, OperatorMatrix, occupations
 from .model import _integrate
 
-# superoperator dimension above which steady_state switches to the
-# matrix-free Krylov solver. The RCM-banded LU (LAPACK gbsv, one thread)
-# has bandwidth 155, 360 and 695 on the effective model at (6,6), (8,8)
-# and (10,10); with the band assembled through scipy.sparse a whole direct
-# solve there took 25 ms, 190 ms and 1.4 s (2-vCPU host, best of 2 to 7)
-# with bands of 10, 71 and 334 MB. Summing the band from the factors with
+# superoperator dimension above which steady_state's ``auto`` hands the
+# rows the drive-order series refuses to the matrix-free Krylov solver
+# instead of the band LU (the series is tried at every size). The
+# RCM-banded LU (LAPACK gbsv, one thread) has bandwidth 155, 360 and 695
+# on the effective model at (6,6), (8,8) and (10,10); with the band
+# assembled through scipy.sparse a whole direct solve there took 25 ms,
+# 190 ms and 1.4 s (2-vCPU host, best of 2 to 7) with bands of 10, 71 and
+# 334 MB. Summing the band from the factors with
 # a cached layout took the (6,6) solve from 19.1 to 15.5 ms (best of 40),
 # of which gbsv is 12.6 ms. Rows the drive-order series certifies skip the
 # band: a whole (6,6) direct solve then takes about 2.4 ms (best of 5 x 200
 # on the same host), and its cost barely grows with the truncation, since
-# the series only reaches states with N <= SERIES_ORDER
+# the series only reaches states with N <= SERIES_ORDER: a certified
+# (12,12) row takes about 7 ms (best of 7), where Krylov takes 0.17 s, and
+# a refused one adds about 2 ms to its Krylov solve
 DIRECT_LIMIT = 10_000
 
-# the drive-order series in front of the band LU (:func:`_series_sums`):
-# its highest order K, and the tolerance its rows must meet: the K - 2 and
-# K partial sums' n and g2, the residual, and the residual extrapolated
-# to K after order 4
+# the drive-order series in front of the band LU and the Krylov solve
+# (:func:`_series_sums`): its highest order K, and the tolerance its rows
+# must meet: the K - 2 and K partial sums' n and g2, the residual, and
+# the residual extrapolated to K after order 4
 SERIES_ORDER = 10
 SERIES_TOL = 1e-12
 
@@ -157,9 +162,9 @@ class Superoperator:
     ``matrix`` is the CSR superoperator of shape (dim^2, dim^2), assembled
     from Kronecker products on first read and then cached. Only
     :func:`evolve`, :meth:`apply` and :meth:`trace_preservation_defect`
-    read it; both steady-state solvers (the RCM-banded LU builds its own
-    trace-row system) and every residual work from ``hamiltonian`` and
-    ``collapse_ops``.
+    read it; every steady-state solver (the series and the RCM-banded LU
+    build their own trace-row system) and every residual work from
+    ``hamiltonian`` and ``collapse_ops``.
     """
 
     space: HilbertSpace
@@ -632,14 +637,6 @@ def _steady_band(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResu
     return _finish(L.space, devectorize(x, L.space).matrix, P, Q, jumps, scale, "direct")
 
 
-def _steady_direct(L: Superoperator) -> SteadyStateResult:
-    """The drive-order series where it is certified, the band LU everywhere else."""
-    P, Q, jumps, scale = _generator(L)
-    with blas.single_thread():
-        res = _steady_series(L, P, Q, jumps, scale)
-    return res if res is not None else _steady_band(L, P, Q, jumps, scale)
-
-
 # cond(V) of P = V diag(w) V^-1 (or of Q's eigenvectors) above which the
 # Krylov solve inverts L0 through Schur forms instead of eigenbases. The
 # eigenbasis solve's residual grows with cond(V); measured on the sandwich
@@ -698,12 +695,12 @@ def _sylvester_inverse(P: np.ndarray, Q: np.ndarray, convention: str):
     return solve, "schur"
 
 
-def _steady_krylov(L: Superoperator) -> SteadyStateResult:
+def _steady_krylov(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResult:
+    """The dominant eigenvector of M = -L0^{-1} Jump by ARPACK, from :func:`_generator`'s factors."""
     N = L.space.dim
     with blas.single_thread():
         # L0 X = P X + X Q (Q = P^H for sandwich); each application of
         # M = -L0^{-1} Jump is one jump sum and one Sylvester solve
-        P, Q, jumps, scale = _generator(L)
         solve, _ = _sylvester_inverse(P, Q, L.convention)
         # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
         pairs = [(o, o.conj()) for o in jumps]
@@ -736,32 +733,34 @@ def _steady_krylov(L: Superoperator) -> SteadyStateResult:
 def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     """Solve L vec(rho) = 0 with unit trace.
 
-    ``direct`` replaces the vacuum row with the trace constraint. Where
-    the generator is graded by the total occupation (the drive changes it
-    by one, every jump lowers it by one), it first solves that system
-    order by order in the drive, to order ``SERIES_ORDER`` (one OpenBLAS
-    thread). The series' state is returned, still as ``direct``, only when
-    every mode's n and g2 agree between orders SERIES_ORDER - 2 and
-    SERIES_ORDER to ``SERIES_TOL`` relative and the residual is at most
-    ``SERIES_TOL``; it stops after order 4 when its residual, extrapolated
-    from orders 2 and 4, cannot reach ``SERIES_TOL``. Otherwise the system
-    is LU-factored by RCM-banded LU (LAPACK ``gbsv``, partial pivoting, one
-    OpenBLAS thread; the band takes 16 (3 kl + 1) L.dim bytes, 10 MB at
-    (6,6), 334 MB at (10,10) and 2 GB on ``master_full`` at (4,4,8)); the
-    band is summed from the factors and its RCM layout is cached per
-    sparsity pattern (:func:`_trace_row_band`);
-    ``krylov`` is the matrix-free Sylvester/Arnoldi path for large spaces
-    (Sylvester solves P X + X Q = -C in the eigenbases of P and Q, or
-    through their Schur forms when an eigenvector matrix has condition
-    number above ``EIGENBASIS_COND_LIMIT``; ARPACK's eigenvector polished
-    by two power steps; one OpenBLAS thread for the whole solve, the
-    caller's thread counts restored afterwards); ``auto`` picks by
-    superoperator dimension. Neither method reads ``L.matrix``. The
-    residual is ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative to
-    the operator scale (raw Liouvillian entries are of order omega_m, so an
-    absolute residual would just restate the frequency units). Both methods
-    compute it without the matrix: L rho = P rho + rho Q + sum_o o rho o^H
-    with P = -i H - D/2, Q = i H_right - D/2 and D = sum_o o^H o, and
+    ``direct`` and ``auto`` first solve the trace-row system (the vacuum
+    row replaced with the trace constraint) order by order in the drive,
+    to order ``SERIES_ORDER`` (one OpenBLAS thread), where the generator
+    is graded by the total occupation (the drive changes it by one, every
+    jump lowers it by one). The series' state is returned, as ``direct``,
+    only when every mode's n and g2 agree between orders SERIES_ORDER - 2
+    and SERIES_ORDER to ``SERIES_TOL`` relative and the residual is at
+    most ``SERIES_TOL``; it stops after order 4 when its residual,
+    extrapolated from orders 2 and 4, cannot reach ``SERIES_TOL``. A row
+    the series refuses is solved, by ``direct`` at any size and by
+    ``auto`` up to ``DIRECT_LIMIT``, by RCM-banded LU (LAPACK ``gbsv``,
+    partial pivoting, one OpenBLAS thread; the band takes 16 (3 kl + 1)
+    L.dim bytes, 10 MB at (6,6), 334 MB at (10,10) and 2 GB on
+    ``master_full`` at (4,4,8)); the band is summed from the factors and
+    its RCM layout is cached per sparsity pattern
+    (:func:`_trace_row_band`). Above ``DIRECT_LIMIT``, ``auto`` hands such
+    a row to the Krylov solve, with the factors the series already built.
+    ``krylov`` is that matrix-free Sylvester/Arnoldi solve alone, with no
+    series in front (Sylvester solves P X + X Q = -C in the eigenbases of
+    P and Q, or through their Schur forms when an eigenvector matrix has
+    condition number above ``EIGENBASIS_COND_LIMIT``; ARPACK's
+    eigenvector polished by two power steps; one OpenBLAS thread for the
+    whole solve, the caller's thread counts restored afterwards). No
+    method reads ``L.matrix``. The residual is ||L vec(rho)||_2 / (max|L|
+    * ||rho||_2), i.e. relative to the operator scale (raw Liouvillian
+    entries are of order omega_m, so an absolute residual would just
+    restate the frequency units). Every method computes it without the
+    matrix: L rho = P rho + rho Q + sum_o o rho o^H with P = -i H - D/2, Q = i H_right - D/2 and D = sum_o o^H o, and
     max|L| from the entry classes: the assembled matrix's largest entry bit
     for bit when no jump has a diagonal entry and no two jumps share an
     off-diagonal position (every ``build_collapse_ops`` model), an upper
@@ -769,7 +768,7 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
 
     A generator without collapse operators, or a singular trace-constrained
     system (steady-state degeneracy beyond normalization), raises
-    :class:`SteadyStateError` for either method rather than returning an
+    :class:`SteadyStateError` for every method rather than returning an
     arbitrary element of the manifold.
     """
     if method not in ("auto", "direct", "krylov"):
@@ -778,11 +777,16 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
         # without jumps the trace-row LU can still return a candidate (a
         # driven point gave min eigenvalue -1.5 at residual 7e-18)
         raise SteadyStateError("no dissipation: the steady manifold is degenerate")
-    if method == "auto":
-        method = "direct" if L.dim <= DIRECT_LIMIT else "krylov"
-    if method == "direct":
-        return _steady_direct(L)
-    return _steady_krylov(L)
+    factors = _generator(L)
+    if method == "krylov":
+        return _steady_krylov(L, *factors)
+    with blas.single_thread():
+        res = _steady_series(L, *factors)
+    if res is not None:
+        return res
+    if method == "auto" and L.dim > DIRECT_LIMIT:
+        return _steady_krylov(L, *factors)
+    return _steady_band(L, *factors)
 
 
 # -- time evolution ---------------------------------------------------------

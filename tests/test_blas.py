@@ -40,13 +40,16 @@ def series(L):
     return liouvillian._steady_series(L, *liouvillian._generator(L))
 
 
-def preset_liouvillian():
-    """The effective model at the preset point, J = -Delta = 2e5, (6,6): a row the series serves."""
+def preset_liouvillian(levels=(6, 6), delta=-2.0e5):
+    """The effective model at the preset point, J = -Delta = 2e5: a row the series serves.
+
+    At Delta = +J (the hybrid-mode resonance) the series refuses the row.
+    """
     p = SystemParams(
         kappa_c=5.0e3, kappa_e=5.0e3, g_omega=200.0, g_kappa=500.0, J=2.0e5,
-        delta_c=-2.0e5, delta_e=-2.0e5, eps_c=5.0e3, eps_e=5.0e3,
+        delta_c=delta, delta_e=delta, eps_c=5.0e3, eps_e=5.0e3,
     )
-    s = make_space((6, 6))
+    s = make_space(levels)
     return build_liouvillian(build_effective_hamiltonian(p, s), build_collapse_ops(p, s))
 
 
@@ -202,18 +205,52 @@ class TestSeriesBudget:
 
     # the sweep CSV must equal a fresh steady_state(L, "direct") bit for bit,
     # whatever the caller's thread counts; the vacuum block's Sylvester
-    # denominator is exactly 0 here and must not warn
+    # denominator is exactly 0 here and must not warn. (12,12), the presets'
+    # gate rung, lies above DIRECT_LIMIT, where auto takes the series too
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_series_is_bit_identical_across_calls_and_thread_counts(self, two_threads):
-        L = preset_liouvillian()
+    @pytest.mark.parametrize("levels, method", [((6, 6), "direct"), ((12, 12), "auto")], ids=["6-6", "12-12"])
+    def test_series_is_bit_identical_across_calls_and_thread_counts(self, two_threads, levels, method):
+        L = preset_liouvillian(levels)
         P, Q, _, _ = liouvillian._generator(L)
         assert P[0, 0] + Q[0, 0] == 0
-        first, second = steady_state(L, method="direct"), steady_state(L, method="direct")
+        first, second = steady_state(L, method=method), steady_state(L, method=method)
         for lib in two_threads:
             lib.set_num_threads(1)
-        single = steady_state(L, method="direct")
+        single = steady_state(L, method=method)
         want = series(L)
         assert want is not None
         for res in (first, second, single):
             assert np.array_equal(res.state.matrix.view(np.uint64), want.state.matrix.view(np.uint64))
             assert res.residual == want.residual
+
+
+class TestAutoBudget:
+    """``auto`` above DIRECT_LIMIT: the series first, Krylov where it refuses the row."""
+
+    @pytest.mark.parametrize("delta, method", [(-2.0e5, "direct"), (2.0e5, "krylov")], ids=["certified", "refused"])
+    def test_series_and_krylov_run_single_threaded_and_restore(self, two_threads, monkeypatch, delta, method):
+        L = preset_liouvillian((12, 12), delta)
+        assert L.dim > liouvillian.DIRECT_LIMIT
+
+        def threads():
+            return [lib.get_num_threads() for lib in two_threads]
+
+        seen = {"series": [], "krylov": []}
+        sums, inverse = liouvillian._series_sums, liouvillian._sylvester_inverse
+
+        def spy_sums(*args):
+            seen["series"].append(threads())
+            return sums(*args)
+
+        def spy_inverse(*args):
+            solve, branch = inverse(*args)
+            return (lambda C: seen["krylov"].append(threads()) or solve(C)), branch
+
+        monkeypatch.setattr(liouvillian, "_series_sums", spy_sums)
+        monkeypatch.setattr(liouvillian, "_sylvester_inverse", spy_inverse)
+        assert steady_state(L).method == method
+        one = [1] * len(two_threads)
+        assert seen["series"] == [one]
+        assert bool(seen["krylov"]) == (method == "krylov")
+        assert all(c == one for c in seen["krylov"])
+        assert threads() == [2] * len(two_threads)

@@ -31,6 +31,7 @@ from msiblockade.model import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
 )
+from msiblockade.sweep import _tier_liouvillian
 
 # Krylov-versus-reference tolerance: relative, plus for g2 the float64 floor
 # of the two-photon moment (MOMENT_FLOOR / n^2)
@@ -513,17 +514,30 @@ PRESET = dict(delta_c=-2.0e5, delta_e=-2.0e5)
 
 
 class TestDriveOrderSeries:
-    """The direct solve: the drive-order series where it is certified, the band LU elsewhere."""
+    """The drive-order series where it is certified; else the band LU, or Krylov for auto above DIRECT_LIMIT."""
 
     # refined trace-row values: dense LU in double with long-double residual
-    # corrections on the dense (6,6) and (8,8) systems. The band LU gives
-    # 1.0000094090205205 and 0.9999980657704106.
+    # corrections on the dense (6,6) and (8,8) systems; (12,12), the presets'
+    # gate rung above DIRECT_LIMIT, is held to the (6,6) value. The band LU
+    # gives 1.0000094090205205 and 0.9999980657704106, and Krylov gave
+    # 1.0000096501443096 at (12,12) before the series was tried there.
     @pytest.mark.parametrize(
-        "levels, g2_c", [((6, 6), 1.0000102535448436), ((8, 8), 1.0000102535448445)], ids=["6-6", "8-8"]
+        "levels, g2_c",
+        [((6, 6), 1.0000102535448436), ((8, 8), 1.0000102535448445), ((12, 12), 1.0000102535448436)],
+        ids=["6-6", "8-8", "12-12"],
     )
     def test_preset_point_matches_refined_value(self, levels, g2_c):
-        res = steady_state(effective_liouvillian(fig3_params(**PRESET), levels), method="direct")
+        res = steady_state(effective_liouvillian(fig3_params(**PRESET), levels))
+        assert res.method == "direct"
         assert abs(mode_statistics(res.state, 0)[1] - g2_c) <= 1e-12 * g2_c
+
+    def test_full_model_is_left_to_krylov(self):
+        # the displacement-modified cavity jump does not lower N by exactly one
+        L = _tier_liouvillian(fig3_params(**PRESET), (4, 4, 8), full=True)
+        assert L.dim > liouvillian.DIRECT_LIMIT
+        P, Q, _, scale = liouvillian._generator(L)
+        assert liouvillian._series_sums(L, P, Q, scale) is None
+        assert steady_state(L).method == "krylov"
 
     def test_fig3_edge_matches_refined_value(self):
         # Delta = -5e5, where the band LU gives 1.0000001586 at (6,6) and
