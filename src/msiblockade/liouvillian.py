@@ -1,12 +1,16 @@
 """Vectorized master equation: the Lindblad generator, steady states, evolution.
 
 Column-stacking convention throughout: vec(A rho B) = (B^T kron A) vec(rho).
-A :class:`Superoperator` holds the Hamiltonian and the collapse operators;
-its CSR ``matrix`` is assembled from Kronecker products only when read
-(by :func:`evolve`, ``apply`` and ``trace_preservation_defect``) and then
-cached; no steady-state solver reads it. Every solver works from the split
-L rho = P rho + rho Q + sum_o o rho o^H, with P = -i H - D/2, Q =
-i H_right - D/2 (so Q = P^H for ``sandwich``) and D = sum_o o^H o.
+A :class:`Superoperator` holds the Hamiltonian and the collapse operators.
+Everything works from the split L rho = P rho + rho Q + sum_o o rho o^H,
+with P = -i H - D/2, Q = i H_right - D/2 (so Q = P^H for ``sandwich``) and
+D = sum_o o^H o (:func:`_generator`). In column stacking that is L =
+kron(I, P) + kron(Q^T, I) + sum_o kron(conj o, o), and :func:`_entries`
+is the one place its entries are summed: at each position, P + Q^T first,
+then each jump in turn. Both the band LU below and the CSR ``matrix``
+(read by :func:`evolve`, ``apply`` and ``trace_preservation_defect`` only,
+built on first read and then cached) take their entries from it; no
+steady-state solver reads ``matrix``.
 
 Steady states are first sought in the trace-row system: L with its
 vacuum row replaced by tr(rho) = 1. Where the basis is graded by the
@@ -20,11 +24,11 @@ the series only when it is certified (:func:`_steady_series`: the
 partial sums at orders 8 and 10 agree in every mode's n and g2, and the
 residual is small); the series stops early when its residual is not
 converging. A row the series refuses goes, at or below ``DIRECT_LIMIT``,
-to RCM-banded LU (LAPACK ``gbsv``): the entries of the trace-row system
-are summed from P, Q and the jumps straight into band storage, and
-factored with partial pivoting. The reverse Cuthill-McKee renumbering,
-the bandwidths and the scatter positions depend only on the sparsity
-pattern; they are taken on the pattern (not on values, whose sums can
+to RCM-banded LU (LAPACK ``gbsv``): :func:`_entries`' sums are scattered
+straight into band storage as the trace-row system and factored with
+partial pivoting. The reverse Cuthill-McKee renumbering, the bandwidths
+and the scatter positions depend only on the sparsity pattern of the
+factors; they are taken on the pattern (not on values, whose sums can
 cancel) once per pattern and cached. Above ``DIRECT_LIMIT`` it goes to
 a matrix-free Krylov method that never forms the superoperator, built
 from the same factors: with L0 X = P X + X Q and the
@@ -159,8 +163,9 @@ class Superoperator:
     with H_right = H for the ``commutator`` convention and H^dag for
     ``sandwich``. Collapse operators carry their sqrt(rate) prefactor.
 
-    ``matrix`` is the CSR superoperator of shape (dim^2, dim^2), assembled
-    from Kronecker products on first read and then cached. Only
+    ``matrix`` is the CSR superoperator of shape (dim^2, dim^2), built on
+    first read from the entries the band LU sums (:func:`_entries`), with
+    those that sum to exactly 0 dropped, and then cached. Only
     :func:`evolve`, :meth:`apply` and :meth:`trace_preservation_defect`
     read it; every steady-state solver (the series and the RCM-banded LU
     build their own trace-row system) and every residual work from
@@ -186,17 +191,12 @@ class Superoperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The superoperator, assembled from Kronecker products on first read."""
-        Hs = sp.csr_matrix(self.hamiltonian.data)
-        eye = sp.identity(self.space.dim, format="csr", dtype=complex)
-        right = Hs if self.convention == "commutator" else Hs.conj().T
-        L = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(right.T, eye, format="csr"))
-        for o in self.collapse_ops:
-            od = sp.csr_matrix(o.data)
-            odo = od.conj().T @ od
-            L = L + sp.kron(od.conj(), od, format="csr")
-            L = L - 0.5 * (sp.kron(eye, odo, format="csr") + sp.kron(odo.T, eye, format="csr"))
-        return L.tocsr()
+        """The superoperator, summed from the factors on first read."""
+        _, keys, v = _entries(*_generator(self)[:3])
+        stored = v != 0
+        rows, cols = np.divmod(keys[stored], self.dim)
+        indptr = np.searchsorted(rows, np.arange(self.dim + 1))
+        return sp.csr_matrix((v[stored], cols, indptr), shape=(self.dim, self.dim))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return devectorize(self.matrix @ vectorize(rho), self.space)
@@ -224,27 +224,25 @@ def build_liouvillian(
     return Superoperator(H.space, convention, H, collapse_ops)
 
 
-def _entry_scale(H, R, P, Q, ops, K) -> float:
+def _entry_scale(P, Q, ops) -> float:
     """max |L| over the superoperator's entries, class by class, without assembling it.
 
-    With the dense jumps ``ops`` and the diagonals ``K`` of each o^dag o,
-    L[(i,j),(k,l)] = P_ik d_jl + Q_lj d_ik + sum_o conj(o_jl) o_ik. The
-    diagonal (i = k, j = l) is evaluated in the float order of the Kronecker
-    assembly in :attr:`Superoperator.matrix`. Off it, with F = sum_o
-    max|diag o| |o|, the class i != k, j = l is bounded by |P| + F, the class
-    i = k, j != l by |Q^T| + F and the class i != k, j != l by
-    sum_o max|o_off| |o_off|. When no jump has a diagonal entry and no two
-    jumps share an off-diagonal position (every model ``build_collapse_ops``
-    makes), the result is ``abs(L.matrix).max()`` bit for bit; otherwise it
-    is an upper bound.
+    With the dense jumps ``ops``, L[(i,j),(k,l)] = P_ik d_jl + Q_lj d_ik +
+    sum_o conj(o_jl) o_ik. The diagonal (i = k, j = l) is summed in the
+    order of :func:`_entries`: P_ii + Q_jj, then each jump. Off it, with
+    F = sum_o max|diag o| |o|, the class i != k, j = l is bounded by
+    |P| + F, the class i = k, j != l by |Q^T| + F and the class i != k,
+    j != l by sum_o max|o_off| |o_off|. When no jump has a diagonal entry
+    and no two jumps share an off-diagonal position (every model
+    ``build_collapse_ops`` makes), the result is ``abs(L.matrix).max()``
+    bit for bit; otherwise it is an upper bound.
     """
-    off = ~np.eye(H.shape[0], dtype=bool)
-    v = -1j * (np.diagonal(H)[:, None] - np.diagonal(R)[None, :])
+    off = ~np.eye(P.shape[0], dtype=bool)
+    v = np.diagonal(P)[:, None] + np.diagonal(Q)[None, :]
     F = G = 0.0
-    for o, kd in zip(ops, K):
+    for o in ops:
         d = np.diagonal(o)
         v = v + d.conj()[None, :] * d[:, None]
-        v = v - 0.5 * (kd[:, None] + kd[None, :])
         a = np.abs(o) * off
         F, G = F + np.abs(d).max() * a, G + a.max() * a
     side = (np.maximum(np.abs(P), np.abs(Q.T)) + F) * off
@@ -259,25 +257,6 @@ def _csr(d: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((d.ravel()[nz], (nz % m).astype(np.int32), indptr), shape=(n, m))
 
 
-def _gram(o: sp.csr_matrix) -> np.ndarray:
-    """o^dag o, dense, equal bit for bit to ``(o.conj().T @ o).toarray()``.
-
-    The sparse product sums conj(o_ki) o_kj over the rows k of ``o`` in
-    ascending order and rounds each complex product's four real products
-    one by one (numpy's complex multiply may fuse them).
-    """
-    n = o.shape[1]
-    r = np.repeat(np.arange(o.shape[0]), np.diff(o.indptr))
-    a, b = np.nonzero(r[:, None] == r[None, :])
-    x, y = o.data[a], o.data[b]
-    t = np.empty(a.size, dtype=complex)
-    t.real = x.real * y.real + x.imag * y.imag
-    t.imag = x.real * y.imag - x.imag * y.real
-    K = np.zeros(n * n, dtype=complex)
-    np.add.at(K, o.indices[a] * n + o.indices[b], t)
-    return K.reshape(n, n)
-
-
 def _generator(L: Superoperator):
     """(P, Q, jumps, scale) with L rho = P rho + rho Q + sum_o o rho o^dag.
 
@@ -288,12 +267,10 @@ def _generator(L: Superoperator):
     """
     H = L.hamiltonian.data
     R = H if L.convention == "commutator" else H.conj().T
-    jumps = [_csr(o.data) for o in L.collapse_ops]
-    K = [_gram(o) for o in jumps]
-    decay = sum(K, np.zeros(H.shape, dtype=complex))
-    P, Q = -1j * H - 0.5 * decay, 1j * R - 0.5 * decay
     ops = [o.data for o in L.collapse_ops]
-    return P, Q, jumps, max(_entry_scale(H, R, P, Q, ops, [np.diagonal(k) for k in K]), 1e-300)
+    decay = sum((o.conj().T @ o for o in ops), np.zeros(H.shape, dtype=complex))
+    P, Q = -1j * H - 0.5 * decay, 1j * R - 0.5 * decay
+    return P, Q, [_csr(o) for o in ops], max(_entry_scale(P, Q, ops), 1e-300)
 
 
 # -- steady state -----------------------------------------------------------
@@ -335,7 +312,7 @@ def _pattern(n: int, p_nz: bytes, q_nz: bytes, jump_nz: tuple[tuple[bytes, bytes
     arguments are the bytes of P's and Q's flat (C order) nonzero indices
     and of each jump's int32 CSR (indptr, indices). ``keys`` holds the
     positions sorted, so row 0 comes first; ``maps[t]`` sends term t's
-    entries, in the order :func:`_trace_row_band` builds their values, to
+    entries, in the order :func:`_entries` builds their values, to
     their index in ``keys``.
     """
     span, ramp = n * n, np.arange(n, dtype=np.intp)
@@ -352,66 +329,13 @@ def _pattern(n: int, p_nz: bytes, q_nz: bytes, jump_nz: tuple[tuple[bytes, bytes
     return _frozen(keys), [_frozen(m) for m in np.split(inverse, np.cumsum([t.size for t in terms])[:-1])]
 
 
-@dataclass(frozen=True)
-class _BandLayout:
-    """Where the trace-row system's entries go in LAPACK band storage.
+def _entries(P, Q, jumps):
+    """(pattern, keys, values): L = kron(I, P) + kron(Q^T, I) + sum_o kron(conj o, o), entry by entry.
 
-    ``flat`` holds the positions, in the Fortran-order band of shape
-    (2 kl + ku + 1, n^2), of the pattern's entries from ``start`` on (those
-    of row 0 come before it); an entry that summed to 0 goes to position 0,
-    which no entry of the matrix occupies. ``trace`` holds the trace row's
-    positions; row and column r of the system become ``inv[r]``.
-    """
-
-    kl: int
-    ku: int
-    inv: np.ndarray
-    start: int
-    flat: np.ndarray
-    trace: np.ndarray
-
-
-@lru_cache(maxsize=4)
-def _band_layout(pattern: tuple, zeros: bytes) -> _BandLayout:
-    """The layout for :func:`_pattern` ``(*pattern)`` less the entries ``zeros`` (intp bytes).
-
-    Reverse Cuthill-McKee runs on the stored pattern with unit values, so
-    that no edge of A + A^T cancels.
-    """
-    n, size = pattern[0], pattern[0] ** 2
-    keys, _ = _pattern(*pattern)
-    start = int(np.searchsorted(keys, size))
-    stored = np.ones(keys.size, dtype=bool)
-    stored[np.frombuffer(zeros, np.intp)] = False
-    stored[:start] = False
-    rows, cols = np.divmod(keys[stored], size)
-    rows = np.concatenate([np.zeros(n, dtype=np.intp), rows])
-    cols = np.concatenate([np.arange(n) * (n + 1), cols])
-    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
-    perm = reverse_cuthill_mckee(graph, symmetric_mode=False)
-    inv = np.empty(size, dtype=np.intp)
-    inv[perm] = np.arange(size)
-    r, c = inv[rows], inv[cols]
-    kl, ku = int(np.max(r - c)), int(np.max(c - r))
-    at = kl + ku + r - c + c * (2 * kl + ku + 1)
-    flat = np.zeros(keys.size - start, dtype=np.intp)
-    flat[stored[start:]] = at[n:]
-    return _BandLayout(kl, ku, _frozen(inv), start, _frozen(flat), _frozen(at[:n].copy()))
-
-
-def _trace_row_band(P, Q, jumps, scale: float):
-    """(ab, kl, ku, inv): L / scale with row 0 replaced by tr(rho) = 1, in RCM-ordered band storage.
-
-    L = kron(I, P) + kron(Q^T, I) + sum_o kron(conj o, o) in column
-    stacking. Its entries are summed straight from the factors in the float
-    order of the sparse Kronecker sum (P + Q^T, then each jump in turn) and
-    scaled as a sparse matrix divided by ``scale`` is; entries that sum to
-    exactly 0 are not stored. Row 0 becomes ones at (0, k(n+1)). The
-    ordering, the bandwidths and the scatter positions depend only on the
-    stored pattern, so they are cached per pattern (:func:`_pattern`,
-    :func:`_band_layout`). Entry (r, c) sits at ab[kl + ku + inv[r] -
-    inv[c], inv[c]] of the Fortran-order array, whose top kl rows stay zero
-    for the fill of ``gbsv``'s row interchanges.
+    ``pattern`` is the :func:`_pattern` key of the factors and ``keys`` its
+    sorted positions r n^2 + c; ``values[t]`` is the entry at ``keys[t]``,
+    summed as P + Q^T first and then each jump in turn. Entries that sum to
+    exactly 0 are kept.
     """
     n = P.shape[0]
     p_nz, q_nz = np.flatnonzero(P), np.flatnonzero(Q)
@@ -426,7 +350,64 @@ def _trace_row_band(P, Q, jumps, scale: float):
     v[maps[1]] += np.repeat(Q.ravel()[q_nz], n)
     for m, o in zip(maps[2:], jumps):
         v[m] += np.outer(o.data.conj(), o.data).ravel()
-    layout = _band_layout(pattern, np.flatnonzero(v == 0).tobytes())
+    return pattern, keys, v
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where the trace-row system's entries go in LAPACK band storage.
+
+    ``flat`` holds the positions, in the Fortran-order band of shape
+    (2 kl + ku + 1, n^2), of the pattern's entries from ``start`` on (those
+    of row 0 come before it). ``trace`` holds the trace row's positions;
+    row and column r of the system become ``inv[r]``.
+    """
+
+    kl: int
+    ku: int
+    inv: np.ndarray
+    start: int
+    flat: np.ndarray
+    trace: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _band_layout(pattern: tuple) -> _BandLayout:
+    """The layout for :func:`_pattern` ``(*pattern)``.
+
+    Reverse Cuthill-McKee runs on the pattern with unit values, so that no
+    edge of A + A^T cancels.
+    """
+    n, size = pattern[0], pattern[0] ** 2
+    keys, _ = _pattern(*pattern)
+    start = int(np.searchsorted(keys, size))
+    rows, cols = np.divmod(keys[start:], size)
+    rows = np.concatenate([np.zeros(n, dtype=np.intp), rows])
+    cols = np.concatenate([np.arange(n) * (n + 1), cols])
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=False)
+    inv = np.empty(size, dtype=np.intp)
+    inv[perm] = np.arange(size)
+    r, c = inv[rows], inv[cols]
+    kl, ku = int(np.max(r - c)), int(np.max(c - r))
+    at = kl + ku + r - c + c * (2 * kl + ku + 1)
+    return _BandLayout(kl, ku, _frozen(inv), start, _frozen(at[n:]), _frozen(at[:n]))
+
+
+def _trace_row_band(P, Q, jumps, scale: float):
+    """(ab, kl, ku, inv): L / scale with row 0 replaced by tr(rho) = 1, in RCM-ordered band storage.
+
+    L's entries are :func:`_entries`' sums, scaled as a sparse matrix
+    divided by ``scale`` is; row 0 becomes ones at (0, k(n+1)). The
+    ordering, the bandwidths and the scatter positions depend only on the
+    pattern, so they are cached per pattern (:func:`_pattern`,
+    :func:`_band_layout`). Entry (r, c) sits at ab[kl + ku + inv[r] -
+    inv[c], inv[c]] of the Fortran-order array, whose top kl rows stay zero
+    for the fill of ``gbsv``'s row interchanges.
+    """
+    n = P.shape[0]
+    pattern, _, v = _entries(P, Q, jumps)
+    layout = _band_layout(pattern)
     ab = np.zeros((2 * layout.kl + layout.ku + 1) * n * n, dtype=complex)
     ab[layout.flat] = v[layout.start:] * (1 / scale)
     ab[layout.trace] = 1.0
@@ -761,8 +742,8 @@ def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
     entries are of order omega_m, so an absolute residual would just
     restate the frequency units). Every method computes it without the
     matrix: L rho = P rho + rho Q + sum_o o rho o^H with P = -i H - D/2, Q = i H_right - D/2 and D = sum_o o^H o, and
-    max|L| from the entry classes: the assembled matrix's largest entry bit
-    for bit when no jump has a diagonal entry and no two jumps share an
+    max|L| from the entry classes: ``L.matrix``'s largest entry bit for
+    bit when no jump has a diagonal entry and no two jumps share an
     off-diagonal position (every ``build_collapse_ops`` model), an upper
     bound on it otherwise.
 

@@ -315,9 +315,10 @@ def _analytic_status(pole_fA: bool, pole_jc: bool, amps: str) -> str:
     return ";".join(parts) or "ok"
 
 
-# amplitude-route outcomes beside "ok": its two poles, and doubles that are
-# not finite without a pole (omega_m = 0 leaves the Kerr shift undefined)
-_AMPS = ("", "pole_DJ", "pole_fA", "undefined")
+# amplitude-route outcomes beside "ok": its two poles, doubles that are not
+# finite without a pole (omega_m = 0 leaves the Kerr shift undefined), and
+# unequal drives, which the route does not cover
+_AMPS = ("", "pole_DJ", "pole_fA", "undefined", "unequal_drives")
 
 
 def _analytic_cells(q) -> tuple:
@@ -326,7 +327,7 @@ def _analytic_cells(q) -> tuple:
     n = len(g2_c)
     n_c = np.full(n, np.nan)
     n_e = np.full(n, np.nan)
-    amps = np.zeros(n, dtype=int)
+    amps = np.full(n, 4)
     equal = np.flatnonzero(q["eps_c"] == q["eps_e"])
     cc, ce, cce, ccc, cee, pole_DJ, pole_amp_fA = amplitude_steady_states_grid({k: v[equal] for k, v in q.items()})
     n_c[equal], n_e[equal] = amplitude_occupations(cc, ce, cce, ccc, cee)

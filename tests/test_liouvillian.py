@@ -53,6 +53,25 @@ def effective_liouvillian(p, levels=(6, 6), convention="sandwich"):
     return build_liouvillian(H, build_collapse_ops(p, s, "standard"), convention)
 
 
+def kron_superoperator(L):
+    """Reference: L assembled by scipy.sparse Kronecker products from H and the jumps.
+
+    -i(kron(I, H) - kron(H_right^T, I)) + sum_o kron(conj o, o) - (kron(I,
+    o^dag o) + kron((o^dag o)^T, I)) / 2 in column stacking, built without
+    the library's factors, so that it checks ``L.matrix`` independently.
+    """
+    Hs = sp.csr_matrix(L.hamiltonian.data)
+    eye = sp.identity(L.space.dim, format="csr", dtype=complex)
+    right = Hs if L.convention == "commutator" else Hs.conj().T
+    Lm = -1j * (sp.kron(eye, Hs, format="csr") - sp.kron(right.T, eye, format="csr"))
+    for o in L.collapse_ops:
+        od = sp.csr_matrix(o.data)
+        odo = od.conj().T @ od
+        Lm = Lm + sp.kron(od.conj(), od, format="csr")
+        Lm = Lm - 0.5 * (sp.kron(eye, odo, format="csr") + sp.kron(odo.T, eye, format="csr"))
+    return Lm.tocsr()
+
+
 class TestVectorization:
     def test_identity_column_stacking(self):
         s = make_space([2])
@@ -181,8 +200,9 @@ PHYSICAL_MODELS = {
     "fig7-kappa-1e-3": lambda: effective_liouvillian(fig3_params(kappa_c=1.0e-3, kappa_e=1.0e-3, **_FIG7)),
     "fig7-kappa-1e5": lambda: effective_liouvillian(fig3_params(kappa_c=1.0e5, kappa_e=1.0e5, **_FIG7)),
     "gate-12-12": lambda: effective_liouvillian(fig3_params(delta_c=0.0, delta_e=0.0), (12, 12)),
-    # of the 2214 fig3, fig6 and fig7 preset points, the one where summing
-    # P_ii + Q_jj instead of the assembly's order moves the scale by an ulp
+    # of the 2214 fig3, fig6 and fig7 preset points, the one where max|L|
+    # summed in the factor order (P_ii + Q_jj, then the jumps) is an ulp off
+    # the Kronecker assembly's: 2000153.792994681 against 2000153.7929946815
     "fig6-g350-25": lambda: effective_liouvillian(
         fig3_params(g_omega=350.0, g_kappa=25.0, delta_c=-2.0e5, delta_e=-2.0e5)
     ),
@@ -191,16 +211,34 @@ PHYSICAL_MODELS = {
 }
 
 
+# the random models' spaces, by seed % 4
+RANDOM_DIMS = [(3,), (2, 3), (3, 3), (2, 2, 3)]
+
+
+def assert_matches_kron_reference(L):
+    ref = kron_superoperator(L)
+    assert L.matrix.nnz == ref.nnz
+    assert abs(L.matrix - ref).max() <= 1e-15 * abs(ref).max()
+
+
 class TestMatrixFreeFactors:
-    """Residual and max|L| come from H and the jumps; the matrix is assembled only on demand."""
+    """Residual and max|L| come from H and the jumps; the matrix is built only on demand."""
+
+    @pytest.mark.parametrize("build", PHYSICAL_MODELS.values(), ids=PHYSICAL_MODELS.keys())
+    def test_matrix_matches_kronecker_reference_on_physical_models(self, build):
+        assert_matches_kron_reference(build())
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
+    def test_matrix_matches_kronecker_reference_on_random_models(self, seed, convention):
+        assert_matches_kron_reference(random_model(seed, RANDOM_DIMS[seed % 4], convention))
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("convention", ["commutator", "sandwich"])
     def test_entry_scale_equals_assembled_max(self, seed, convention):
         # dephasing diagonals and overlapping jumps: the scale is an upper
         # bound on max|L| here, below the crude max|P| + max|Q| + sum max|o|^2
-        dims = [(3,), (2, 3), (3, 3), (2, 2, 3)][seed % 4]
-        L = random_model(seed, dims, convention)
+        L = random_model(seed, RANDOM_DIMS[seed % 4], convention)
         P, Q, jumps, scale = liouvillian._generator(L)
         crude = abs(P).max() + abs(Q).max() + sum(abs(o).max() ** 2 for o in jumps)
         assert abs(L.matrix).max() * (1.0 - 1e-15) <= scale <= crude
@@ -225,7 +263,7 @@ class TestMatrixFreeFactors:
             jumps = [annihilation(s, 0) + 0.5 * number(s, 0)]
             H = OperatorMatrix(s, 10.0j * annihilation(s, 0).data)
         L = build_liouvillian(H, jumps, "sandwich")
-        exact = abs(L.matrix).max()
+        exact = abs(kron_superoperator(L)).max()
         assert exact * (1.0 - 1e-15) <= liouvillian._generator(L)[3] <= exact * (1.0 + 1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -239,9 +277,10 @@ class TestMatrixFreeFactors:
         P, Q, jumps, scale = liouvillian._generator(L)
         res = liouvillian._finish(L.space, rho, P, Q, jumps, scale, "test")
         free = P @ rho + rho @ Q + sum(o @ rho @ o.conj().T for o in jumps)
-        sparse = L.apply(DensityMatrix(L.space, rho)).matrix
+        K = kron_superoperator(L)
+        sparse = devectorize(K @ vectorize(rho), L.space).matrix
         assert np.linalg.norm(free - sparse) <= 1e-13 * np.linalg.norm(sparse)
-        reference = np.linalg.norm(L.matrix @ vectorize(rho)) / (abs(L.matrix).max() * np.linalg.norm(rho))
+        reference = np.linalg.norm(K @ vectorize(rho)) / (abs(K).max() * np.linalg.norm(rho))
         assert res.residual == pytest.approx(reference, rel=1e-13)
 
     def test_krylov_leaves_matrix_unassembled(self):
@@ -255,9 +294,10 @@ class TestMatrixFreeFactors:
 
 
 def trace_row_reference(L):
-    """The trace-row system from the assembled matrix: L / max|L|, row 0 -> tr(rho) = 1."""
+    """The trace-row system from the Kronecker reference: L / max|L|, row 0 -> tr(rho) = 1."""
     n = L.space.dim
-    A = (L.matrix / abs(L.matrix).max()).toarray()
+    K = kron_superoperator(L)
+    A = (K / abs(K).max()).toarray()
     A[0] = 0.0
     A[0, :: n + 1] = 1.0
     return A
@@ -324,13 +364,18 @@ def phased_effective_liouvillian(p, levels):
     return build_liouvillian(H, build_collapse_ops(p, s), "sandwich")
 
 
-def dephased_liouvillian():
-    """H = 0, damping on mode 0 and dephasing on mode 1: some entries of L sum to exactly 0.
+def dephased_liouvillian(loss=0.0):
+    """A drive on mode 1, damping on mode 0 and dephasing on mode 1: some entries of L sum to exactly 0.
 
-    On the diagonal, L[(i,j),(i,j)] = -(n1(i) - n1(j))^2 / 2 wherever mode 0 is empty.
+    On the diagonal, L[(i,i),(i,i)] = 0 wherever mode 0 is empty. ``loss``
+    adds -i loss a1^dag a1 to H, which keeps the pattern of the factors
+    but makes those entries -2 loss n1(i). The steady state is unique:
+    |0><0| on mode 0 times the identity / 3 on mode 1 at loss 0.
     """
     s = make_space((3, 3))
-    return build_liouvillian(0.0 * number(s, 0), [2.0 * annihilation(s, 0), number(s, 1)], "sandwich")
+    a1 = annihilation(s, 1)
+    H = a1 + a1.dag() - 1j * loss * number(s, 1)
+    return build_liouvillian(H, [2.0 * annihilation(s, 0), number(s, 1)], "sandwich")
 
 
 def dense_steady_state(L):
@@ -397,16 +442,27 @@ class TestBandedDirect:
         info = liouvillian._band_layout.cache_info()
         assert info.hits > 0 and info.currsize <= info.maxsize
 
-    def test_entries_that_sum_to_zero_are_not_stored(self):
+    def test_entries_that_sum_to_zero_solve_to_the_dense_state(self):
         L = dephased_liouvillian()
         P, Q, jumps, _ = liouvillian._generator(L)
         # at |0, m><0, m| for m = 1, 2, P, Q and the dephasing jump each put an
         # entry on L's diagonal, and they sum to exactly 0
         assert np.all(np.diagonal(P)[1:3] != 0) and jumps[1].diagonal()[1:3].all()
         assert np.array_equal(np.flatnonzero(L.matrix.diagonal() == 0), [0, 10, 20])
+        res = steady_state(L, method="direct")
+        dense = dense_steady_state(L).matrix
+        assert np.max(np.abs(res.state.matrix - dense)) <= 1e-14
+        assert np.max(np.abs(dense - np.kron(np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3))) <= 1e-14
+
+    def test_layout_is_keyed_by_the_pattern_alone(self):
+        # the same pattern with and without cancelling entries: one layout
+        cancelling, loss = dephased_liouvillian(), dephased_liouvillian(loss=0.5)
+        assert cancelling.matrix.nnz < loss.matrix.nnz
         liouvillian._band_layout.cache_clear()
-        assert_same_band(liouvillian._trace_row_band(*liouvillian._generator(L)), reference_band(L))
-        assert liouvillian._band_layout.cache_info().currsize == 1
+        for L in (cancelling, loss):
+            liouvillian._trace_row_band(*liouvillian._generator(L))
+        info = liouvillian._band_layout.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
 
     def test_phased_couplings_keep_the_band(self):
         # the numeric A + A^T ordering gave kl = ku = 1281 here: an 80 MB band
@@ -429,7 +485,7 @@ class TestBandedDirect:
         # dephasing diagonals and overlapping jumps: the ordering may differ
         # from the reference only where the reference's numeric A + A^T
         # cancelled an entry of the pattern
-        L = random_model(seed, [(3,), (2, 3), (3, 3), (2, 2, 3)][seed % 4], convention)
+        L = random_model(seed, RANDOM_DIMS[seed % 4], convention)
         inv = liouvillian._trace_row_band(*liouvillian._generator(L))[3]
         if not np.array_equal(inv, reference_band(L)[3]):
             A = kron_trace_row_system(*liouvillian._generator(L)).tocsr()

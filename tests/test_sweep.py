@@ -442,7 +442,7 @@ STATUSES = {
         "c:pole_fA;e:pole_fA;amps:pole_DJ", "e:pole_JplusDeltaC;amps:pole_DJ",
         "c:pole_fA;e:pole_fA", "e:pole_JplusDeltaC", "ok",
     },
-    "drives_and_rates": {"e:pole_JplusDeltaC", "pole_DJ", "ok"},
+    "drives_and_rates": {"e:pole_JplusDeltaC", "e:pole_JplusDeltaC;amps:unequal_drives", "pole_DJ", "ok"},
 }
 
 
@@ -465,6 +465,7 @@ class TestGridTiers:
             closed = g2_analytic(p)
             assert (analytic.g2_c, analytic.g2_e) == (_finite_or_none(closed.g2_c), _finite_or_none(closed.g2_e))
             if p.eps_c != p.eps_e:
+                assert "amps:unequal_drives" in analytic.status.split(";")
                 assert (analytic.n_c, analytic.n_e) == (None, None)
             elif (amps := amplitude_steady_states(p)).status.value == "ok":
                 assert (analytic.n_c, analytic.n_e) == amps.occupations()
