@@ -3,13 +3,14 @@
 numpy's wheel ships ``libscipy_openblas64_`` and scipy's ships
 ``libscipy_openblas``; each runs its own thread pool, and on a small host
 those threads slow the matrix-free steady-state solve instead of speeding it
-up (its BLAS calls are on 100-200 wide matrices). The direct solve's band
-LU runs under the same budget, so its digits do not depend on the thread
-count. :func:`single_thread` sets every such library already loaded in this
-process to one thread and restores the caller's counts on exit. It looks in
-the wheels' ``<package>.libs`` directories (the Linux layout); where it
-finds no OpenBLAS there (MKL or Accelerate builds, other layouts) it does
-nothing. Nothing happens at import.
+up (its BLAS calls are on 100-200 wide matrices).
+``liouvillian.steady_state`` runs each whole solve, residual included, under
+one budget, so its digits do not depend on the thread count.
+:func:`single_thread` sets every such library already loaded in this process
+to one thread and restores the caller's counts on exit. It looks in the
+wheels' ``<package>.libs`` directories (the Linux layout); where it finds no
+OpenBLAS there (MKL or Accelerate builds, other layouts) it does nothing.
+Nothing happens at import.
 """
 
 from __future__ import annotations

@@ -8,44 +8,48 @@ D = sum_o o^H o (:func:`_generator`). In column stacking that is L =
 kron(I, P) + kron(Q^T, I) + sum_o kron(conj o, o), and :func:`_entries`
 is the one place its entries are summed: at each position, P + Q^T first,
 then each jump in turn. Both the band LU below and the CSR ``matrix``
-(read by :func:`evolve`, ``apply`` and ``trace_preservation_defect`` only,
-built on first read and then cached) take their entries from it; no
-steady-state solver reads ``matrix``.
+(read by :func:`evolve` and ``apply`` only, built on first read and then
+cached) take their entries from it; no steady-state solver reads
+``matrix``.
 
-Steady states are first sought in the trace-row system: L with its
-vacuum row replaced by tr(rho) = 1. Where the basis is graded by the
-total occupation N (the drive changes N by one, every jump lowers it by
-one, the rest of L keeps it), that system is solved order by order in
-the drive (:func:`_series_sums`), at every size: each order is a
-back-substitution of small Sylvester equations over the blocks of
-N-sectors, so small moments such as <a^dag a^dag a a> keep their own
-scale, and only states with N <= SERIES_ORDER are reached. A row takes
-the series only when it is certified (:func:`_steady_series`: the
-partial sums at orders 8 and 10 agree in every mode's n and g2, and the
-residual is small); the series stops early when its residual is not
-converging. A row the series refuses goes, at or below ``DIRECT_LIMIT``,
-to RCM-banded LU (LAPACK ``gbsv``): :func:`_entries`' sums are scattered
-straight into band storage as the trace-row system and factored with
-partial pivoting. The reverse Cuthill-McKee renumbering, the bandwidths
-and the scatter positions depend only on the sparsity pattern of the
-factors; they are taken on the pattern (not on values, whose sums can
-cancel) once per pattern and cached. Above ``DIRECT_LIMIT`` it goes to
-a matrix-free Krylov method that never forms the superoperator, built
-from the same factors: with L0 X = P X + X Q and the
-jump part sum_k o_k X o_k^H, the steady state is recovered as the
-dominant eigenvector of M = -L0^{-1} Jump (eigenvalue 1). Each
-application of M applies the jumps as sparse (CSR) operators and inverts
-L0 as a Sylvester equation in the eigenbases of P and Q (four dense
-products), falling back to a Schur-factored ``trsyl`` solve when either
-eigenvector matrix's condition number exceeds ``EIGENBASIS_COND_LIMIT``.
-Two power steps x <- M x polish ARPACK's Ritz vector before the residual
-is taken. The series, the band LU and the Krylov solve run with the
-bundled OpenBLAS libraries at one thread (``blas.single_thread``); the
-caller's thread counts are restored when they return or raise. All of
-them take the residual from the factors and its scale max|L| from the
-entry classes (:func:`_entry_scale`), so none needs the matrix for it;
-max|L| is exact on every model ``build_collapse_ops`` makes and an upper
-bound otherwise.
+:func:`steady_state` has one route, ``direct`` (the default), tried in
+this order:
+
+1. The trace-row system (L with its vacuum row replaced by tr(rho) = 1)
+   solved order by order in the drive (:func:`_series_sums`), at every
+   size, where the basis is graded by the total occupation N (the drive
+   changes N by one, every jump lowers it by one, the rest of L keeps
+   it). Each order is a back-substitution of small Sylvester equations
+   over the blocks of N-sectors, so small moments such as
+   <a^dag a^dag a a> keep their own scale, and only states with
+   N <= SERIES_ORDER are reached. A row takes the series only when it is
+   certified (:func:`_steady_series`: the partial sums at orders 8 and 10
+   agree in every mode's n and g2, and the residual is small); the series
+   stops early when its residual is not converging.
+2. At or below ``DIRECT_LIMIT``, the same system by RCM-banded LU (LAPACK
+   ``gbsv``): :func:`_entries`' sums are scattered straight into band
+   storage and factored with partial pivoting. The reverse Cuthill-McKee
+   renumbering, the bandwidths and the scatter positions depend only on
+   the sparsity pattern of the factors; they are taken on the pattern
+   (not on values, whose sums can cancel) once per pattern and cached.
+3. Above ``DIRECT_LIMIT``, a matrix-free Krylov method built from the
+   same factors: with L0 X = P X + X Q and the jump part
+   sum_k o_k X o_k^H, the steady state is the dominant eigenvector of
+   M = -L0^{-1} Jump (eigenvalue 1). Each application of M applies the
+   jumps as sparse (CSR) operators and inverts L0 as a Sylvester equation
+   in the eigenbases of P and Q (four dense products), falling back to a
+   Schur-factored ``trsyl`` solve when either eigenvector matrix's
+   condition number exceeds ``EIGENBASIS_COND_LIMIT``. Two power steps
+   x <- M x polish ARPACK's Ritz vector. ``krylov`` is this solve alone.
+
+The whole solve, from :func:`_generator` to the residual, runs with the
+bundled OpenBLAS libraries at one thread (``blas.single_thread``, entered
+once in :func:`steady_state`), so its digits, the residual's included, do
+not depend on the caller's thread count; the caller's counts are restored
+when it returns or raises. Every route takes the residual from the
+factors and its scale max|L| from the entry classes
+(:func:`_entry_scale`), so none needs the matrix for it; max|L| is exact
+on every model ``build_collapse_ops`` makes and an upper bound otherwise.
 """
 
 from __future__ import annotations
@@ -64,21 +68,13 @@ from . import blas
 from .fock import HilbertSpace, OperatorMatrix, occupations
 from .model import _integrate
 
-# superoperator dimension above which steady_state's ``auto`` hands the
-# rows the drive-order series refuses to the matrix-free Krylov solver
-# instead of the band LU (the series is tried at every size). The
-# RCM-banded LU (LAPACK gbsv, one thread) has bandwidth 155, 360 and 695
-# on the effective model at (6,6), (8,8) and (10,10); with the band
-# assembled through scipy.sparse a whole direct solve there took 25 ms,
-# 190 ms and 1.4 s (2-vCPU host, best of 2 to 7) with bands of 10, 71 and
-# 334 MB. Summing the band from the factors with
-# a cached layout took the (6,6) solve from 19.1 to 15.5 ms (best of 40),
-# of which gbsv is 12.6 ms. Rows the drive-order series certifies skip the
-# band: a whole (6,6) direct solve then takes about 2.4 ms (best of 5 x 200
-# on the same host), and its cost barely grows with the truncation, since
-# the series only reaches states with N <= SERIES_ORDER: a certified
-# (12,12) row takes about 7 ms (best of 7), where Krylov takes 0.17 s, and
-# a refused one adds about 2 ms to its Krylov solve
+# superoperator dimension above which steady_state hands the rows the
+# drive-order series refuses to the matrix-free Krylov solve instead of
+# the band LU. The RCM-banded LU's band takes 16 (3 kl + 1) L.dim bytes
+# and its bandwidth grows with the truncation: kl = 155, 360 and 695 on
+# the effective model at (6,6), (8,8) and (10,10), bands of 10, 71 and
+# 334 MB, and 2 GB on master_full at (4,4,8). A (6,6) band LU takes about
+# 15.5 ms, 12.6 ms of it in gbsv (2-vCPU host, best of 40)
 DIRECT_LIMIT = 10_000
 
 # the drive-order series in front of the band LU and the Krylov solve
@@ -166,9 +162,9 @@ class Superoperator:
     ``matrix`` is the CSR superoperator of shape (dim^2, dim^2), built on
     first read from the entries the band LU sums (:func:`_entries`), with
     those that sum to exactly 0 dropped, and then cached. Only
-    :func:`evolve`, :meth:`apply` and :meth:`trace_preservation_defect`
-    read it; every steady-state solver (the series and the RCM-banded LU
-    build their own trace-row system) and every residual work from
+    :func:`evolve` and :meth:`apply` read it; every steady-state solver
+    (the series and the RCM-banded LU build their own trace-row system),
+    every residual and :meth:`trace_preservation_defect` work from
     ``hamiltonian`` and ``collapse_ops``.
     """
 
@@ -202,10 +198,15 @@ class Superoperator:
         return devectorize(self.matrix @ vectorize(rho), self.space)
 
     def trace_preservation_defect(self) -> float:
-        """max |(vec I)^dag L| column-wise; zero iff trace is conserved."""
-        n = self.space.dim
-        left = vectorize(np.eye(n, dtype=complex)).conj()
-        return float(np.max(np.abs(left @ self.matrix)))
+        """max |(vec I)^dag L| column-wise; zero iff trace is conserved.
+
+        tr(L rho) = tr((P + Q + D) rho) = tr(i (H_right - H) rho), so this is
+        max |H_right - H|: 0 for ``commutator``, the anti-Hermitian part of
+        H for ``sandwich``.
+        """
+        H = self.hamiltonian.data
+        R = H if self.convention == "commutator" else H.conj().T
+        return float(np.max(np.abs(R - H)))
 
 
 def build_liouvillian(
@@ -603,8 +604,7 @@ def _steady_band(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResu
     b = np.zeros(ab.shape[1], dtype=complex)
     b[inv[0]] = 1.0
     (gbsv,) = get_lapack_funcs(("gbsv",), (ab, b))
-    with blas.single_thread():
-        _, _, y, info = gbsv(kl, ku, ab, b, overwrite_ab=True, overwrite_b=True)
+    _, _, y, info = gbsv(kl, ku, ab, b, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise SteadyStateError(
             "trace-constrained system is singular: the steady manifold is "
@@ -679,31 +679,30 @@ def _sylvester_inverse(P: np.ndarray, Q: np.ndarray, convention: str):
 def _steady_krylov(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResult:
     """The dominant eigenvector of M = -L0^{-1} Jump by ARPACK, from :func:`_generator`'s factors."""
     N = L.space.dim
-    with blas.single_thread():
-        # L0 X = P X + X Q (Q = P^H for sandwich); each application of
-        # M = -L0^{-1} Jump is one jump sum and one Sylvester solve
-        solve, _ = _sylvester_inverse(P, Q, L.convention)
-        # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
-        pairs = [(o, o.conj()) for o in jumps]
+    # L0 X = P X + X Q (Q = P^H for sandwich); each application of
+    # M = -L0^{-1} Jump is one jump sum and one Sylvester solve
+    solve, _ = _sylvester_inverse(P, Q, L.convention)
+    # jumps as CSR: o X o^H = (conj(o) (o X)^T)^T costs O(nnz N), not two N^3 products
+    pairs = [(o, o.conj()) for o in jumps]
 
-        def apply_m(xvec):
-            X = xvec.reshape(N, N)
-            C = sum((oc @ (o @ X).T).T for o, oc in pairs)
-            return solve(C).ravel()
+    def apply_m(xvec):
+        X = xvec.reshape(N, N)
+        C = sum((oc @ (o @ X).T).T for o, oc in pairs)
+        return solve(C).ravel()
 
-        Mop = spla.LinearOperator((N * N, N * N), matvec=apply_m, dtype=complex)
-        v0 = np.eye(N, dtype=complex).ravel() / N
-        try:
-            w, v = spla.eigs(Mop, k=1, which="LM", v0=v0, tol=KRYLOV_TOL, maxiter=KRYLOV_MAXITER)
-        except spla.ArpackNoConvergence as exc:
-            raise SteadyStateError(f"Krylov steady-state iteration did not converge: {exc}") from exc
-        # ARPACK's Ritz vector keeps rounding-level error along M's other
-        # eigenvectors, which the small two-photon moment feels; two power
-        # steps shrink it by |lambda_2|^2. Over 1000 (6,6) points at
-        # Delta = -J (kappa 3e3 to 1e5 Hz) the largest direct-versus-Krylov
-        # g2 gap, in units of 1e-5 |g2| + 2e-11 / n^2, fell from 2.3 to 0.036
-        # (the Schur solve without these steps: 0.32).
-        x = apply_m(apply_m(v[:, 0]))
+    Mop = spla.LinearOperator((N * N, N * N), matvec=apply_m, dtype=complex)
+    v0 = np.eye(N, dtype=complex).ravel() / N
+    try:
+        w, v = spla.eigs(Mop, k=1, which="LM", v0=v0, tol=KRYLOV_TOL, maxiter=KRYLOV_MAXITER)
+    except spla.ArpackNoConvergence as exc:
+        raise SteadyStateError(f"Krylov steady-state iteration did not converge: {exc}") from exc
+    # ARPACK's Ritz vector keeps rounding-level error along M's other
+    # eigenvectors, which the small two-photon moment feels; two power
+    # steps shrink it by |lambda_2|^2. Over 1000 (6,6) points at
+    # Delta = -J (kappa 3e3 to 1e5 Hz) the largest direct-versus-Krylov
+    # g2 gap, in units of 1e-5 |g2| + 2e-11 / n^2, fell from 2.3 to 0.036
+    # (the Schur solve without these steps: 0.32).
+    x = apply_m(apply_m(v[:, 0]))
     notes = []
     gap = abs(abs(w[0]) - 1.0)
     if gap > 1e-4:
@@ -711,63 +710,45 @@ def _steady_krylov(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateRe
     return _finish(L.space, x.reshape(N, N), P, Q, jumps, scale, "krylov", notes)
 
 
-def steady_state(L: Superoperator, method: str = "auto") -> SteadyStateResult:
-    """Solve L vec(rho) = 0 with unit trace.
+def steady_state(L: Superoperator, method: str = "direct") -> SteadyStateResult:
+    """Solve L vec(rho) = 0 with unit trace, at one OpenBLAS thread.
 
-    ``direct`` and ``auto`` first solve the trace-row system (the vacuum
-    row replaced with the trace constraint) order by order in the drive,
-    to order ``SERIES_ORDER`` (one OpenBLAS thread), where the generator
-    is graded by the total occupation (the drive changes it by one, every
-    jump lowers it by one). The series' state is returned, as ``direct``,
-    only when every mode's n and g2 agree between orders SERIES_ORDER - 2
-    and SERIES_ORDER to ``SERIES_TOL`` relative and the residual is at
-    most ``SERIES_TOL``; it stops after order 4 when its residual,
-    extrapolated from orders 2 and 4, cannot reach ``SERIES_TOL``. A row
-    the series refuses is solved, by ``direct`` at any size and by
-    ``auto`` up to ``DIRECT_LIMIT``, by RCM-banded LU (LAPACK ``gbsv``,
-    partial pivoting, one OpenBLAS thread; the band takes 16 (3 kl + 1)
-    L.dim bytes, 10 MB at (6,6), 334 MB at (10,10) and 2 GB on
-    ``master_full`` at (4,4,8)); the band is summed from the factors and
-    its RCM layout is cached per sparsity pattern
-    (:func:`_trace_row_band`). Above ``DIRECT_LIMIT``, ``auto`` hands such
-    a row to the Krylov solve, with the factors the series already built.
-    ``krylov`` is that matrix-free Sylvester/Arnoldi solve alone, with no
-    series in front (Sylvester solves P X + X Q = -C in the eigenbases of
-    P and Q, or through their Schur forms when an eigenvector matrix has
-    condition number above ``EIGENBASIS_COND_LIMIT``; ARPACK's
-    eigenvector polished by two power steps; one OpenBLAS thread for the
-    whole solve, the caller's thread counts restored afterwards). No
-    method reads ``L.matrix``. The residual is ||L vec(rho)||_2 / (max|L|
-    * ||rho||_2), i.e. relative to the operator scale (raw Liouvillian
-    entries are of order omega_m, so an absolute residual would just
-    restate the frequency units). Every method computes it without the
-    matrix: L rho = P rho + rho Q + sum_o o rho o^H with P = -i H - D/2, Q = i H_right - D/2 and D = sum_o o^H o, and
-    max|L| from the entry classes: ``L.matrix``'s largest entry bit for
-    bit when no jump has a diagonal entry and no two jumps share an
+    ``direct`` (the default) is the module's route: the drive-order series
+    where it is certified, else the band LU up to ``DIRECT_LIMIT`` and
+    Krylov above it. ``krylov`` is the Krylov solve alone. The result's
+    ``method`` names the solver that produced the state: ``direct`` for the
+    series and the band LU, ``krylov`` for Krylov.
+
+    The residual is ||L vec(rho)||_2 / (max|L| * ||rho||_2), i.e. relative
+    to the operator scale (raw Liouvillian entries are of order omega_m,
+    so an absolute residual would just restate the frequency units). It is
+    computed from the factors, L rho = P rho + rho Q + sum_o o rho o^H, and
+    max|L| from the entry classes: ``L.matrix``'s largest entry bit for bit
+    when no jump has a diagonal entry and no two jumps share an
     off-diagonal position (every ``build_collapse_ops`` model), an upper
     bound on it otherwise.
 
-    A generator without collapse operators, or a singular trace-constrained
-    system (steady-state degeneracy beyond normalization), raises
-    :class:`SteadyStateError` for every method rather than returning an
+    An unknown ``method`` raises ``ValueError``. A generator without
+    collapse operators, a singular trace-constrained system (steady-state
+    degeneracy beyond normalization) or a Krylov solve that does not
+    converge raises :class:`SteadyStateError` rather than returning an
     arbitrary element of the manifold.
     """
-    if method not in ("auto", "direct", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
+    if method not in ("direct", "krylov"):
+        raise ValueError(f"unknown method {method!r}; valid: direct, krylov")
     if not L.collapse_ops:
         # without jumps the trace-row LU can still return a candidate (a
         # driven point gave min eigenvalue -1.5 at residual 7e-18)
         raise SteadyStateError("no dissipation: the steady manifold is degenerate")
-    factors = _generator(L)
-    if method == "krylov":
-        return _steady_krylov(L, *factors)
     with blas.single_thread():
-        res = _steady_series(L, *factors)
-    if res is not None:
-        return res
-    if method == "auto" and L.dim > DIRECT_LIMIT:
+        factors = _generator(L)
+        if method == "direct":
+            res = _steady_series(L, *factors)
+            if res is not None:
+                return res
+            if L.dim <= DIRECT_LIMIT:
+                return _steady_band(L, *factors)
         return _steady_krylov(L, *factors)
-    return _steady_band(L, *factors)
 
 
 # -- time evolution ---------------------------------------------------------

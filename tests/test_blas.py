@@ -10,6 +10,7 @@ from msiblockade import blas, liouvillian
 from msiblockade.fock import annihilation, make_space
 from msiblockade.liouvillian import SteadyStateError, build_liouvillian, steady_state
 from msiblockade.model import SystemParams, build_collapse_ops, build_effective_hamiltonian
+from msiblockade.sweep import _tier_liouvillian
 
 
 def fake_library(name, threads):
@@ -40,15 +41,19 @@ def series(L):
     return liouvillian._steady_series(L, *liouvillian._generator(L))
 
 
+def preset_params(delta=-2.0e5):
+    return SystemParams(
+        kappa_c=5.0e3, kappa_e=5.0e3, g_omega=200.0, g_kappa=500.0, J=2.0e5,
+        delta_c=delta, delta_e=delta, eps_c=5.0e3, eps_e=5.0e3,
+    )
+
+
 def preset_liouvillian(levels=(6, 6), delta=-2.0e5):
     """The effective model at the preset point, J = -Delta = 2e5: a row the series serves.
 
     At Delta = +J (the hybrid-mode resonance) the series refuses the row.
     """
-    p = SystemParams(
-        kappa_c=5.0e3, kappa_e=5.0e3, g_omega=200.0, g_kappa=500.0, J=2.0e5,
-        delta_c=delta, delta_e=delta, eps_c=5.0e3, eps_e=5.0e3,
-    )
+    p = preset_params(delta)
     s = make_space(levels)
     return build_liouvillian(build_effective_hamiltonian(p, s), build_collapse_ops(p, s))
 
@@ -206,17 +211,17 @@ class TestSeriesBudget:
     # the sweep CSV must equal a fresh steady_state(L, "direct") bit for bit,
     # whatever the caller's thread counts; the vacuum block's Sylvester
     # denominator is exactly 0 here and must not warn. (12,12), the presets'
-    # gate rung, lies above DIRECT_LIMIT, where auto takes the series too
+    # gate rung, lies above DIRECT_LIMIT, where the series is tried too
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("levels, method", [((6, 6), "direct"), ((12, 12), "auto")], ids=["6-6", "12-12"])
-    def test_series_is_bit_identical_across_calls_and_thread_counts(self, two_threads, levels, method):
+    @pytest.mark.parametrize("levels", [(6, 6), (12, 12)], ids=["6-6", "12-12"])
+    def test_series_is_bit_identical_across_calls_and_thread_counts(self, two_threads, levels):
         L = preset_liouvillian(levels)
         P, Q, _, _ = liouvillian._generator(L)
         assert P[0, 0] + Q[0, 0] == 0
-        first, second = steady_state(L, method=method), steady_state(L, method=method)
+        first, second = steady_state(L), steady_state(L)
         for lib in two_threads:
             lib.set_num_threads(1)
-        single = steady_state(L, method=method)
+        single = steady_state(L)
         want = series(L)
         assert want is not None
         for res in (first, second, single):
@@ -224,8 +229,8 @@ class TestSeriesBudget:
             assert res.residual == want.residual
 
 
-class TestAutoBudget:
-    """``auto`` above DIRECT_LIMIT: the series first, Krylov where it refuses the row."""
+class TestAboveDirectLimitBudget:
+    """Above DIRECT_LIMIT: the series first, Krylov where it refuses the row."""
 
     @pytest.mark.parametrize("delta, method", [(-2.0e5, "direct"), (2.0e5, "krylov")], ids=["certified", "refused"])
     def test_series_and_krylov_run_single_threaded_and_restore(self, two_threads, monkeypatch, delta, method):
@@ -254,3 +259,23 @@ class TestAutoBudget:
         assert bool(seen["krylov"]) == (method == "krylov")
         assert all(c == one for c in seen["krylov"])
         assert threads() == [2] * len(two_threads)
+
+    # the residual too: the generator and _finish run under the budget, so
+    # rows left to Krylov (master_full, and a (12,12) rung at Delta = +J that
+    # the series refuses) give the same result at any caller thread count
+    @pytest.mark.parametrize("full", [True, False], ids=["full-4-4-8", "12-12-refused"])
+    def test_krylov_rows_are_bit_identical_across_calls_and_thread_counts(self, two_threads, full):
+        if full:
+            L = _tier_liouvillian(preset_params(), (4, 4, 8), full=True)
+        else:
+            L = preset_liouvillian((12, 12), delta=2.0e5)
+            assert series(L) is None
+        first, second = steady_state(L), steady_state(L)
+        for lib in two_threads:
+            lib.set_num_threads(1)
+        single = steady_state(L)
+        assert first.method == "krylov"
+        for res in (second, single):
+            assert (res.method, res.notes) == (first.method, first.notes)
+            assert np.array_equal(res.state.matrix.view(np.uint64), first.state.matrix.view(np.uint64))
+            assert res.residual == first.residual

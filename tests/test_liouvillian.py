@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from msiblockade import liouvillian
+from msiblockade import blas, liouvillian
 from msiblockade.figures import MOMENT_FLOOR
 from msiblockade.fock import OperatorMatrix, annihilation, make_space, number, occupations
 from msiblockade.liouvillian import (
@@ -127,6 +127,19 @@ class TestBuildLiouvillian:
         L = effective_liouvillian(p, (4, 4))
         # scaled: entries are of order omega_m
         assert L.trace_preservation_defect() / abs(L.matrix).max() < 1e-12
+
+    def test_trace_preservation_defect_is_the_kerr_gain(self):
+        # sandwich with the paper's complex Kerr term: tr(L rho) = tr(i (H^dag - H)
+        # rho), whose largest entry is (g_kappa g_omega / omega_m) n_c (n_c - 1)
+        # at n_c = 5, i.e. 0.1 * 20 = 2
+        L = effective_liouvillian(fig3_params(delta_c=-2.0e5, delta_e=-2.0e5))
+        K = kron_superoperator(L)
+        left = vectorize(np.eye(L.space.dim, dtype=complex)).conj()
+        reference = np.max(np.abs(left @ K))
+        defect = L.trace_preservation_defect()
+        assert abs(defect - reference) <= 1e-15 * abs(K).max()
+        assert defect == pytest.approx(2.0, rel=1e-15)
+        assert "matrix" not in vars(L)
 
     def test_convention_agreement_hermitian(self):
         p = fig3_params(g_kappa=0.0)
@@ -516,7 +529,7 @@ class TestBandedDirect:
         L = effective_liouvillian(params)
         dense = dense_steady_state(L)
         if method == "band":
-            res = liouvillian._steady_band(L, *liouvillian._generator(L))
+            res = band(L)
         else:
             res = steady_state(L, method=method)
         assert res.method == ("direct" if method == "band" else method)
@@ -557,7 +570,9 @@ def series(L):
 
 
 def band(L):
-    return liouvillian._steady_band(L, *liouvillian._generator(L))
+    """The band LU on its own, under the one-thread budget steady_state enters."""
+    with blas.single_thread():
+        return liouvillian._steady_band(L, *liouvillian._generator(L))
 
 
 def assert_same_result(got, want):
@@ -570,7 +585,7 @@ PRESET = dict(delta_c=-2.0e5, delta_e=-2.0e5)
 
 
 class TestDriveOrderSeries:
-    """The drive-order series where it is certified; else the band LU, or Krylov for auto above DIRECT_LIMIT."""
+    """The drive-order series where it is certified; else the band LU, or Krylov above DIRECT_LIMIT."""
 
     # refined trace-row values: dense LU in double with long-double residual
     # corrections on the dense (6,6) and (8,8) systems; (12,12), the presets'
@@ -742,7 +757,7 @@ class TestSteadyState:
         # hard point: hybrid-mode resonance with n ~ 4 photons
         p = fig3_params(delta_c=2.0e5, delta_e=2.0e5)
         L = effective_liouvillian(p, (12, 12))
-        res = steady_state(L)  # auto -> krylov at dim 20736
+        res = steady_state(L)  # the series refuses the row; krylov at dim 20736
         assert res.method == "krylov"
         n, _ = mode_statistics(res.state, 0)
         assert 3.0 < n < 5.0
@@ -773,7 +788,7 @@ class TestSteadyState:
             _, g2_k = mode_statistics(krylov.state, mode)
             assert abs(g2_k - g2_d) <= SOLVER_RTOL * abs(g2_d) + MOMENT_FLOOR / n**2
 
-    @pytest.mark.parametrize("method", ["auto", "direct", "krylov"])
+    @pytest.mark.parametrize("method", ["direct", "krylov"])
     def test_driven_without_dissipation_raises(self, method):
         # the trace-row LU returned a "state" with min eigenvalue -1.49 and
         # residual 6.6e-18 here, and mode_statistics then read n = 0
@@ -781,6 +796,11 @@ class TestSteadyState:
         assert not L.collapse_ops
         with pytest.raises(SteadyStateError, match="no dissipation: the steady manifold is degenerate"):
             steady_state(L, method=method)
+
+    def test_removed_auto_method_names_the_valid_ones(self):
+        L = effective_liouvillian(fig3_params(), (3, 3))
+        with pytest.raises(ValueError, match=r"^unknown method 'auto'; valid: direct, krylov$"):
+            steady_state(L, "auto")
 
     def test_krylov_needs_dissipation(self):
         p = fig3_params(kappa_c=0.0, kappa_e=0.0, g_kappa=0.0)
