@@ -17,15 +17,20 @@ this order:
 
 1. The trace-row system (L with its vacuum row replaced by tr(rho) = 1)
    solved order by order in the drive (:func:`_series_sums`), at every
-   size, where the basis is graded by the total occupation N (the drive
-   changes N by one, every jump lowers it by one, the rest of L keeps
-   it). Each order is a back-substitution of small Sylvester equations
-   over the blocks of N-sectors, so small moments such as
-   <a^dag a^dag a a> keep their own scale, and only states with
-   N <= SERIES_ORDER are reached. A row takes the series only when it is
-   certified (:func:`_steady_series`: the partial sums at orders 8 and 10
-   agree in every mode's n and g2, and the residual is small); the series
-   stops early when its residual is not converging.
+   size, where the basis is graded by the photon number N = n_c + n_e
+   (the drive changes N by one, the cavity jumps lower it by one, the
+   mechanical jumps and the rest of L keep it). Each order is a
+   back-substitution of small Sylvester equations over the blocks of
+   N-sectors, so small moments such as <a^dag a^dag a a> keep their own
+   scale. On the effective model a whole anti-diagonal of blocks is
+   solved at once; on the full model, whose sectors carry the mechanics,
+   block by block, with a fixed point on the mechanical jumps and one
+   small LU for the photon-vacuum block. A row takes the series only
+   when it is certified (:func:`_steady_series`: the partial sums at
+   orders K - 2 and K agree in every mode's n and g2, and the residual is
+   small); K is SERIES_ORDER, and on the full model grows while the gap
+   between the sums shrinks fast enough, and the series stops early when
+   its residual is not converging.
 2. At or below ``DIRECT_LIMIT``, the same system by RCM-banded LU (LAPACK
    ``gbsv``): :func:`_entries`' sums are scattered straight into band
    storage and factored with partial pivoting. The reverse Cuthill-McKee
@@ -78,11 +83,24 @@ from .model import _integrate
 DIRECT_LIMIT = 10_000
 
 # the drive-order series in front of the band LU and the Krylov solve
-# (:func:`_series_sums`): its highest order K, and the tolerance its rows
-# must meet: the K - 2 and K partial sums' n and g2, the residual, and
-# the residual extrapolated to K after order 4
+# (:func:`_series_sums`): the first order K at which it tests a row, the
+# order it never goes past, and the tolerance its rows must meet: the
+# K - 2 and K partial sums' n and g2, the residual, and the residual
+# extrapolated to SERIES_ORDER after order 4. The cap is where a row
+# stops being cheaper than Krylov: on master_full at (4,4,8) a row the
+# series certifies by K = 14 costs 11-17 ms and one at K = 20-30 22-37
+# ms, against about 66 ms for a Krylov solve (2-vCPU host, one thread).
+# Of the 96 such rows of the benchmark's master_krylov seeds
+# 1-8, 9, 47, 58 and 68 certify by K = 10, 14, 20 and 30
 SERIES_ORDER = 10
+SERIES_ORDER_CAP = 30
 SERIES_TOL = 1e-12
+# fixed-point sweeps per block on the jumps that keep the photon number
+# (:func:`_block_series`); over those 96 rows a block takes 3.1 on
+# average and 8 at most
+SERIES_SWEEPS = 60
+_EPS = float(np.finfo(float).eps)
+_EPS2 = _EPS**2
 
 CONVENTIONS = ("commutator", "sandwich")
 
@@ -417,37 +435,46 @@ def _trace_row_band(P, Q, jumps, scale: float):
 
 @dataclass(frozen=True)
 class _Grading:
-    """A space's basis graded by the total occupation N, for :func:`_series_sums`.
+    """A space's basis graded by the photon number N = n_c + n_e, for :func:`_series_sums`.
 
+    The photons are modes 0 and 1 (mode 0 alone on a one-mode space); on
+    the full model's space mode 2, the mechanics, is in every sector.
     ``far`` marks the entries (i, j) of an operator with |N_i - N_j| > 1,
-    ``unlowered`` those with N_i != N_j - 1.
-    ``order`` lists the states with N <= SERIES_ORDER by N (the vacuum,
-    state 0, first), and ``ends[m]`` counts those with N <= m. On that
-    order, ``step`` holds |N_i - N_j|, ``reach`` marks the entries with
-    N_i + N_j <= SERIES_ORDER but the vacuum one, and ``antidiagonal[m]``
-    marks, on the leading ``ends[m]`` square, those with N_i + N_j = m.
-    ``sectors`` holds, per sector size s, the (rows, cols) indices of
-    shape (count, s, s) that stack the diagonal blocks of that size.
+    ``unlowered`` those with N_i != N_j - 1 and ``unkept`` those with
+    N_i != N_j. ``order`` lists the states with N <= top by N (the vacuum,
+    state 0, first), where top is SERIES_ORDER when the vacuum sector is
+    one state (:func:`_square_series`) and SERIES_ORDER_CAP otherwise, and
+    ``ends[m]`` counts those with N <= m, for m up to SERIES_ORDER_CAP. On
+    that order, ``step`` holds |N_i - N_j|, ``reach`` marks the entries
+    with N_i + N_j <= SERIES_ORDER but the vacuum one, and
+    ``antidiagonal[m]`` marks, on the leading ``ends[m]`` square, those
+    with N_i + N_j = m, for m up to SERIES_ORDER. ``sectors`` holds, per
+    sector size s, the (rows, cols) indices of shape (count, s, s) that
+    stack the diagonal blocks of that size, and ``bounds[p]`` the slice of
+    sector N = p.
     """
 
     far: np.ndarray
     unlowered: np.ndarray
+    unkept: np.ndarray
     order: np.ndarray
     ends: np.ndarray
     step: np.ndarray
     reach: np.ndarray
     antidiagonal: tuple[np.ndarray, ...]
     sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    bounds: tuple[slice, ...]
 
 
 @lru_cache(maxsize=4)
 def _grading(mode_dims: tuple[int, ...]) -> _Grading:
     space = HilbertSpace(mode_dims)
-    N = sum(occupations(space, m) for m in range(space.n_modes))
-    order = np.flatnonzero(N <= SERIES_ORDER)
+    N = sum(occupations(space, m) for m in range(min(2, space.n_modes))).astype(np.int16)
+    top = SERIES_ORDER if np.count_nonzero(N == 0) == 1 else SERIES_ORDER_CAP
+    order = np.flatnonzero(N <= top)
     order = order[np.argsort(N[order], kind="stable")]
     grade = N[order]
-    ends = np.searchsorted(grade, np.arange(SERIES_ORDER + 1), side="right")
+    ends = np.searchsorted(grade, np.arange(SERIES_ORDER_CAP + 1), side="right")
     total = grade[:, None] + grade[None, :]
     reach = total <= SERIES_ORDER
     reach[0, 0] = False
@@ -461,12 +488,14 @@ def _grading(mode_dims: tuple[int, ...]) -> _Grading:
     return _Grading(
         _frozen(np.abs(step) > 1),
         _frozen(step != -1),
+        _frozen(step != 0),
         _frozen(order),
         _frozen(ends),
         _frozen(np.abs(grade[:, None] - grade[None, :])),
         _frozen(reach),
-        tuple(_frozen(total[:e, :e] == m) for m, e in enumerate(ends)),
+        tuple(_frozen(total[:e, :e] == m) for m, e in enumerate(ends[: SERIES_ORDER + 1])),
         tuple(sectors),
+        tuple(slice(s, s + z) for s, z in zip(starts[: grade[-1] + 1], sizes)),
     )
 
 
@@ -479,33 +508,15 @@ def _sector_eig(A: np.ndarray, sectors):
     return w, V, Vi
 
 
-def _series_sums(L: Superoperator, P, Q, scale: float):
-    """The partial sums of rho = sum_k rho_k at k <= SERIES_ORDER - 2 and <= SERIES_ORDER, or None.
+def _square_series(L: Superoperator, P, Q, scale: float, jumps):
+    """The series where the vacuum sector is one state, as (orders, fock, diagonal, residual), or None.
 
-    With N the total occupation, L = L0 + L1 where L1 rho = P1 rho + rho Q1
-    holds the parts of P and Q that change N by one (the drive) and L0 rho =
-    P0 rho + rho Q0 + sum_o o rho o^H the rest. rho_0 = |0><0|, and order k
-    solves L0 rho_k = -L1 rho_(k-1) in every entry but the vacuum one, which
-    tr rho_k = 0 replaces: term by term, the trace-row system of the band
-    LU. rho_k lives on the blocks (p, q) of N-sectors with p + q <= k of k's
-    parity; from the highest p + q down, block (p, q) is the Sylvester
-    equation P0_p X + X Q0_q = -(L1 rho_(k-1))_pq - sum_o o rho_k(p+1, q+1)
-    o^H. Each sector's P0_p (and, for ``commutator``, Q0_q) is diagonalized
-    once, so every solve is an elementwise division in those eigenbases, and
-    a whole anti-diagonal p + q is solved at once. The sums are the dense
-    rho on the whole space (zero where N > SERIES_ORDER).
-
-    None, when the series cannot serve L: a jump that does not lower N by
-    exactly one, or an entry of P or Q that changes N by more than one; a
-    zero Sylvester denominator, a defective sector, or a sector eigenbasis
-    with 1-norm condition number above ``EIGENBASIS_COND_LIMIT``; or when
-    the residual ||L1 rho_K|| / max|L| of the partial sums at K = 2 and
-    K = 4, extrapolated geometrically, stays above ``SERIES_TOL`` at
-    K = SERIES_ORDER.
+    Every jump lowers N by one here. The operators live on the leading
+    square of the states with N <= SERIES_ORDER, a whole anti-diagonal
+    p + q of blocks is solved at once, masked on that square, and
+    ``orders`` ends at SERIES_ORDER.
     """
     g = _grading(L.space.mode_dims)
-    if any(np.any(o.data[g.unlowered]) for o in L.collapse_ops) or np.any(P[g.far]) or np.any(Q[g.far]):
-        return None
     ends, n = g.ends, g.order.size
     block = np.ix_(g.order, g.order)
     P = P[block]
@@ -522,7 +533,7 @@ def _series_sums(L: Superoperator, P, Q, scale: float):
     cond = max(np.abs(A).sum(axis=0).max() * np.abs(B).sum(axis=0).max() for A, B in ((V, Vi), (U, Ui)))
     if cond > EIGENBASIS_COND_LIMIT:
         return None
-    # 1 / (w_i + u_j) on the blocks the series reaches, but not the vacuum
+    # -1 / (w_i + u_j) on the blocks the series reaches, but not the vacuum
     # entry, whose equation is the trace's
     denominator = np.where(g.reach, w[:, None] + u[None, :], 1.0)
     if np.any(denominator == 0):
@@ -531,67 +542,361 @@ def _series_sums(L: Superoperator, P, Q, scale: float):
     S = [S[:e, :e] * mask for e, mask in zip(ends, g.antidiagonal)]
     # the drive and the jumps in the eigenbases: X~ = V^-1 X U
     P1 = Vi @ np.where(g.step == 1, P, 0) @ V
-    left = np.stack([Vi @ o.data[block] @ V for o in L.collapse_ops])
+    left = np.stack([Vi @ o[block] @ V for o in jumps])
     if sandwich:
         Q1, right = P1.conj().T, left.conj().transpose(0, 2, 1)
     else:
         Q1 = Ui @ np.where(g.step == 1, Q, 0) @ U
-        right = np.stack([Ui @ o.data[block].conj().T @ U for o in L.collapse_ops])
+        right = np.stack([Ui @ o[block].conj().T @ U for o in jumps])
     trace = (Ui @ V).T  # tr X = sum(X~ * trace)
-    rho = np.zeros((n, n), dtype=complex)
-    rho[0, 0] = 1.0
-    total, partial = rho, {}
-    for k in range(1, SERIES_ORDER + 1):
+
+    def drive(rho, k):
+        """L1 rho on the leading ends[k] square, rho an order k - 1 term."""
         a, b = ends[k - 1], ends[k]
         source = np.zeros((b, b), dtype=complex)
         source[:, :a] = P1[:b, :a] @ rho[:a, :a]
         source[:a, :] += rho[:a, :a] @ Q1[:a, :b]
-        if k - 1 in (2, 4):
-            # the residual of the partial sum at K = k - 1, off the vacuum entry
-            partial[k - 1] = np.linalg.norm(V[:b, :b] @ source @ Ui[:b, :b]) / scale
-        if k == 5:
+        return source
+
+    def orders():
+        rho = total = np.zeros((n, n), dtype=complex)
+        rho[0, 0] = 1.0
+        for k in range(1, SERIES_ORDER + 1):
+            source = drive(rho, k)
+            rho = np.zeros((n, n), dtype=complex)
+            for m in range(k, 0, -2):
+                e = ends[m]
+                X = source[:e, :e] * S[m]
+                rho[:e, :e] += X
+                if m > 2:  # the jumps feed anti-diagonal m - 2 (m = 2 feeds only the vacuum entry)
+                    f = ends[m - 2]
+                    source[:f, :f] += np.sum(left[:, :f, :e] @ X @ right[:, :e, :f], axis=0)
+            if k % 2 == 0:
+                rho[0, 0] = -np.sum(rho * trace)
+            total = total + rho
+            yield rho, total
+
+    def fock(t):
+        full = np.zeros((L.space.dim, L.space.dim), dtype=complex)
+        full[block] = V @ t @ Ui
+        return full
+
+    def diagonal(t):
+        return fock(t).diagonal()
+
+    def residual(rho, k):
+        b = ends[k + 1]
+        return np.linalg.norm(V[:b, :b] @ drive(rho, k + 1) @ Ui[:b, :b]) / scale
+
+    return orders(), fock, diagonal, residual
+
+
+def _jump_sum(lefts, X, rights):
+    """sum_o a_o X b_o over the pairs of ``lefts`` and ``rights`` (0 when there are none)."""
+    out = 0.0
+    for a, b in zip(lefts, rights):
+        out = out + a @ X @ b
+    return out
+
+
+def _block_series(L: Superoperator, P, Q, scale: float, lowering, keeping):
+    """The series where the vacuum sector holds the mechanics, as (orders, fock, diagonal, residual), or None.
+
+    Block (p, q) of order k solves P0_p X + X Q0_q + sum_keep o X o^H = -S
+    with S = (L1 rho_(k-1))_pq + sum_low o rho_k(p+1, q+1) o^H, where the
+    jumps in ``lowering`` lower N by one and those in ``keeping`` (the
+    mechanical b and b^dag) keep it. Off the vacuum block it is a fixed
+    point on the keeping jumps in the sector eigenbases, summed as a
+    Neumann series until a term is below the rounding of the sum; None
+    when that takes more than ``SERIES_SWEEPS`` sweeps or a term is as
+    large as the first (it diverges). The vacuum block (p = q = 0) is the
+    mechanics' own Lindblad problem; it is solved by one LU of its d^2
+    equations in the Fock basis, the vacuum entry's replaced by the trace,
+    and None when that LU is numerically singular (no keeping jump:
+    undamped mechanics). For ``sandwich`` rho_k is Hermitian, so only
+    blocks with p <= q are solved and the rest mirrored. Every operator
+    and every rho_k is held sector by sector, as sector-sized blocks.
+    """
+    if not keeping:
+        return None
+    g = _grading(L.space.mode_dims)
+    sectors, sandwich = range(len(g.bounds)), L.convention == "sandwich"
+    top = sectors[-1]
+
+    def sub(A, p, q):  # block (p, q) of the Fock-ordered A
+        return A[np.ix_(g.order[g.bounds[p]], g.order[g.bounds[q]])]
+
+    # each sector's P0_p = V_p diag(w_p) Vi_p and Q0_q = U_q diag(u_q) Ui_q,
+    # and the 1-norm condition test, as in :func:`_square_series` but held
+    # per sector: the whole space's block-diagonal V is mostly zeros here
+    try:
+        w, V = zip(*(np.linalg.eig(sub(P, p, p)) for p in sectors))
+        Vi = [np.linalg.inv(v) for v in V]
+        if sandwich:
+            u, U, Ui = [x.conj() for x in w], [v.conj().T for v in Vi], [v.conj().T for v in V]
+        else:
+            u, U = zip(*(np.linalg.eig(sub(Q, q, q)) for q in sectors))
+            Ui = [np.linalg.inv(v) for v in U]
+    except np.linalg.LinAlgError:  # a defective sector
+        return None
+    if max(max(np.abs(a).sum(axis=0).max() for a in A) * max(np.abs(b).sum(axis=0).max() for b in B)
+           for A, B in ((V, Vi), (U, Ui))) > EIGENBASIS_COND_LIMIT:
+        return None
+
+    # the drive, and the lowering (feed) and keeping jumps, in the eigenbases:
+    # Vi_p A_pq V_q on the left of X, Ui_p A_pq U_q on its right
+    def left(A, p, q):
+        return Vi[p] @ sub(A, p, q) @ V[q]
+
+    near = {p: [r for r in (p - 1, p + 1) if 0 <= r <= top] for p in sectors}
+    drive_left = {(p, r): left(P, p, r) for p in sectors for r in near[p]}
+    feed_left = [[left(o, p, p + 1) for o in lowering] for p in sectors[:-1]]
+    keep_left = [[left(o, p, p) for o in keeping] for p in sectors]
+    if sandwich:  # Q = P^H and U = V^-H: every right factor is a left one's adjoint
+        drive_right = {(r, q): a.conj().T for (q, r), a in drive_left.items()}
+        feed_right, keep_right = ([[a.conj().T for a in x] for x in y] for y in (feed_left, keep_left))
+    else:
+        drive_right = {(r, q): Ui[r] @ sub(Q, r, q) @ U[q] for q in sectors for r in near[q]}
+        feed_right = [[Ui[q + 1] @ sub(o, q, q + 1).conj().T @ U[q] for o in lowering] for q in sectors[:-1]]
+        keep_right = [[Ui[q] @ sub(o, q, q).conj().T @ U[q] for o in keeping] for q in sectors]
+    trace = [(Ui[p] @ V[p]).T for p in sectors]  # tr of sector p's block X = sum(X~ * trace[p])
+
+    # the vacuum block in the Fock basis, column-stacked, with the vacuum
+    # entry's equation replaced by the trace
+    d = V[0].shape[0]
+    eye = np.eye(d)
+    A = np.kron(eye, sub(P, 0, 0)) + np.kron(sub(Q, 0, 0).T, eye)
+    for o in keeping:
+        o = sub(o, 0, 0)
+        A += np.kron(o.conj(), o)
+    A[0] = 0.0
+    A[0, :: d + 1] = 1.0
+    getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (A,))
+    lu, piv, info = getrf(A)
+    if info != 0 or gecon(lu, np.abs(A).sum(axis=0).max())[0] < _EPS:
+        return None
+
+    def vacuum(source, trace_value):
+        b = -(V[0] @ source @ Ui[0]).ravel(order="F")
+        b[0] = trace_value
+        x, _ = getrs(lu, piv, b)
+        return Vi[0] @ x.reshape(d, d, order="F") @ U[0]
+
+    divisors = {}
+
+    def fixed_point(source, p, q):
+        if (p, q) not in divisors:
+            denominator = w[p][:, None] + u[q][None, :]
+            divisors[p, q] = None if np.any(denominator == 0) else -1.0 / denominator
+        S = divisors[p, q]
+        if S is None:
+            return None
+        X = term = source * S
+        bound = np.vdot(X, X).real  # squared Frobenius norms from here on
+        for _ in range(SERIES_SWEEPS):
+            term = _jump_sum(keep_left[p], term, keep_right[q]) * S
+            size = np.vdot(term, term).real
+            X += term
+            if size <= _EPS2 * bound:
+                return X
+            if not size < bound:  # a term as large as the first: the fixed point diverges
+                return None
+        return None
+
+    def drive(rho, p, q):
+        """(L1 rho)_pq in the eigenbases, from rho's blocks in the neighbouring sectors."""
+        out = np.zeros((V[p].shape[0], V[q].shape[0]), dtype=complex)
+        for r in near[p]:
+            if (r, q) in rho:
+                out += drive_left[p, r] @ rho[r, q]
+        for r in near[q]:
+            if (p, r) in rho:
+                out += rho[p, r] @ drive_right[r, q]
+        return out
+
+    def blocks(m, solved=True):
+        """The blocks (p, q) with p + q = m; those solved (with ``sandwich``, p <= q), or all."""
+        return [(p, m - p) for p in range(max(0, m - top), min(m, top) + 1) if not (solved and sandwich) or 2 * p <= m]
+
+    def solve(rho, k):
+        """rho_k, as blocks, from rho_(k-1) (no blocks and k = 0 for rho_0), or None."""
+        new = {}
+        for m in range(min(k, 2 * top - k % 2), -1, -2):
+            for p, q in blocks(m):
+                source = drive(rho, p, q)
+                if (p + 1, q + 1) in new:
+                    source += _jump_sum(feed_left[p], new[p + 1, q + 1], feed_right[q])
+                if m:
+                    X = fixed_point(source, p, q)
+                    if X is None:
+                        return None
+                else:
+                    X = vacuum(source, (k == 0) - sum(np.sum(new[p, p] * trace[p]) for p in sectors[1:] if (p, p) in new))
+                new[p, q] = X
+                if sandwich and p != q:
+                    new[q, p] = X.conj().T
+        return new
+
+    def orders():
+        rho = total = solve({}, 0)
+        for k in range(1, SERIES_ORDER_CAP + 1):
+            rho = solve(rho, k)
+            if rho is None:
+                yield None
+                return
+            total = {**total, **{key: total[key] + X if key in total else X for key, X in rho.items()}}
+            yield rho, total
+
+    def fock(t):
+        full = np.zeros((L.space.dim, L.space.dim), dtype=complex)
+        for (p, q), X in t.items():
+            full[np.ix_(g.order[g.bounds[p]], g.order[g.bounds[q]])] = V[p] @ X @ Ui[q]
+        return full
+
+    def diagonal(t):
+        out = np.zeros(L.space.dim, dtype=complex)
+        for p in sectors:
+            if (p, p) in t:
+                out[g.order[g.bounds[p]]] = np.einsum("ij,ji->i", V[p], t[p, p] @ Ui[p])
+        return out
+
+    def residual(rho, k):
+        pairs = (pq for m in range(k + 1, -1, -2) for pq in blocks(m, solved=False))
+        return np.sqrt(sum(np.linalg.norm(V[p] @ drive(rho, p, q) @ Ui[q]) ** 2 for p, q in pairs)) / scale
+
+    return orders(), fock, diagonal, residual
+
+
+def _moment_gap(space: HilbertSpace, a: np.ndarray, b: np.ndarray) -> float:
+    """The largest relative difference of every mode's n and g2 between the diagonals ``a`` and ``b``.
+
+    Relative to ``b``'s moments; inf where a moment is not finite, or where
+    one of ``b``'s is 0 and ``a``'s is not.
+    """
+    gap = 0.0
+    for mode in range(space.n_modes):
+        for x, y in zip(_moments(space, a, mode), _moments(space, b, mode)):
+            if x == y:
+                continue
+            if not (np.isfinite(x) and np.isfinite(y) and y != 0):
+                return float("inf")
+            gap = max(gap, abs(x - y) / abs(y))
+    return gap
+
+
+def _series_sums(L: Superoperator, P, Q, scale: float):
+    """The diagonal of the partial sum of rho = sum_k rho_k at order K - 2, and that at K; or None.
+
+    N is the photon number n_c + n_e (:class:`_Grading`). L = L0 + L1,
+    where L1 rho = P1 rho + rho Q1 holds the parts of P and Q that change N
+    by one (the drive) and L0 rho = P0 rho + rho Q0 + sum_o o rho o^H the
+    rest: every jump lowers N by one (the cavities') or keeps it (the
+    mechanics'). rho_0 is L0's steady state, and order k solves
+    L0 rho_k = -L1 rho_(k-1) in every entry but the vacuum one, which
+    tr rho_k = 0 replaces: term by term, the trace-row system of the band
+    LU. rho_k lives on the blocks (p, q) of N-sectors with p + q <= k of k's
+    parity; from the highest p + q down, block (p, q) is the Sylvester
+    equation P0_p X + X Q0_q = -(L1 rho_(k-1))_pq - sum_o o rho_k(p+1, q+1)
+    o^H, plus the keeping jumps' sum_o o X o^H. Each sector's P0_p (and,
+    for ``commutator``, Q0_q) is diagonalized once, so every solve is an
+    elementwise division in those eigenbases. Where the vacuum sector is
+    one state (the effective model) no jump keeps N, rho_0 = |0><0| and
+    :func:`_square_series` solves each anti-diagonal at once; where it holds
+    the mechanics (the full model) :func:`_block_series` goes block by block.
+    The K sum is the dense rho on the whole space and the K - 2 sum's
+    diagonal a vector on it (zero where N is beyond the order reached).
+
+    On the effective model K = SERIES_ORDER. On the full model K is the
+    first even order from SERIES_ORDER on where the K - 2 and K sums agree
+    to ``SERIES_TOL`` relative in every mode's n and g2, or
+    SERIES_ORDER_CAP: past SERIES_ORDER the series goes on two orders at a
+    time only while the geometric extrapolation of the last two such gaps
+    reaches SERIES_TOL by SERIES_ORDER_CAP.
+
+    None, when the series cannot serve L: a jump that neither lowers nor
+    keeps N, a keeping jump on a one-state vacuum sector, or an entry of P
+    or Q that changes N by more than one; a zero Sylvester denominator, a
+    defective sector, a sector eigenbasis with 1-norm condition number
+    above ``EIGENBASIS_COND_LIMIT``, a singular vacuum block or a fixed
+    point that does not converge (:func:`_block_series`); when the residual
+    ||L1 rho_K|| / max|L| of the partial sums at K = 2 and K = 4,
+    extrapolated geometrically, stays above ``SERIES_TOL`` at
+    K = SERIES_ORDER; or, on the full model, when the gaps stop the series
+    before they reach ``SERIES_TOL``.
+    """
+    g = _grading(L.space.mode_dims)
+    if np.any(P[g.far]) or np.any(Q[g.far]):
+        return None
+    lowering, keeping = [], []
+    for o in L.collapse_ops:
+        if not np.any(o.data[g.unlowered]):
+            lowering.append(o.data)
+        elif not np.any(o.data[g.unkept]):
+            keeping.append(o.data)
+        else:
+            return None
+    if g.ends[0] == 1:
+        series, top = None if keeping else _square_series(L, P, Q, scale, lowering), SERIES_ORDER
+    else:
+        series, top = _block_series(L, P, Q, scale, lowering, keeping), SERIES_ORDER_CAP
+    if series is None:
+        return None
+    orders, fock, diagonal, residual = series
+    # the residuals at K = 2 and 4, and the partial sums, their diagonals and their gaps at the last two even orders
+    partial, sums, diagonals, gaps = {}, [None, None], [None, None], [None, None]
+    for k, step in enumerate(orders, 1):
+        if step is None:
+            return None
+        rho, total = step
+        if k in (2, 4):
+            # the residual of the partial sum at K = k, ||L1 rho_k|| / max|L|
+            partial[k] = residual(rho, k)
+        if k == 4:
             # bail out when r4 (r4 / r2)^((K - 4) / 2), the geometric extrapolation
             # to K = SERIES_ORDER, exceeds SERIES_TOL (in a form that cannot overflow)
             r2, r4 = partial[2], partial[4]
             if r4 > SERIES_TOL and r4 > r2 * (SERIES_TOL / r4) ** (2 / (SERIES_ORDER - 4)):
                 return None
-        rho = np.zeros((n, n), dtype=complex)
-        for m in range(k, 0, -2):
-            e = ends[m]
-            X = source[:e, :e] * S[m]
-            rho[:e, :e] += X
-            if m > 2:  # the jumps feed anti-diagonal m - 2 (m = 2 feeds only the vacuum entry)
-                f = ends[m - 2]
-                source[:f, :f] += np.sum(left[:, :f, :e] @ X @ right[:, :e, :f], axis=0)
-        if k % 2 == 0:
-            rho[0, 0] = -np.sum(rho * trace)
-        total = total + rho
-        if k == SERIES_ORDER - 2:
-            short = total
-    sums = []
-    for t in (short, total):
-        full = np.zeros((L.space.dim, L.space.dim), dtype=complex)
-        full[block] = V @ t @ Ui
-        sums.append(full)
-    return sums
+        if k % 2:
+            continue
+        sums = [sums[1], total]
+        if k == top:  # no order past it: the certification in _steady_series decides
+            return diagonal(sums[0]), fock(total)
+        # the gaps only decide whether to go past SERIES_ORDER
+        if k < SERIES_ORDER - 4 or top == SERIES_ORDER:
+            continue
+        diagonals = [diagonals[1], diagonal(total)]
+        if k < SERIES_ORDER - 2:
+            continue
+        gaps = [gaps[1], _moment_gap(L.space, *diagonals)]
+        if k < SERIES_ORDER:
+            continue
+        last, gap = gaps
+        if gap <= SERIES_TOL:
+            return diagonals[0], fock(total)
+        # go on while gap (gap / last)^((SERIES_ORDER_CAP - k) / 2), the geometric
+        # extrapolation to the cap, reaches SERIES_TOL (in a form that cannot overflow)
+        if not gap <= last * (SERIES_TOL / gap) ** (2 / (SERIES_ORDER_CAP - k)):
+            return None
+    return None
 
 
 def _steady_series(L: Superoperator, P, Q, jumps, scale: float) -> SteadyStateResult | None:
     """The drive-order series' steady state when it is certified, else None.
 
     Certified: every mode's n and g2 are finite and agree between the
-    partial sums at SERIES_ORDER - 2 and SERIES_ORDER to ``SERIES_TOL``
+    partial sums at K - 2 and K (:func:`_series_sums`) to ``SERIES_TOL``
     relative, and :func:`_finish`'s residual is at most ``SERIES_TOL``.
     """
     sums = _series_sums(L, P, Q, scale)
     if sums is None:
         return None
-    res = _finish(L.space, sums[1], P, Q, jumps, scale, "direct")
+    short, total = sums
+    res = _finish(L.space, total, P, Q, jumps, scale, "direct")
     if not res.residual <= SERIES_TOL:
         return None
     for mode in range(L.space.n_modes):
-        short = _moments(L.space, sums[0].diagonal(), mode)
-        for a, b in zip(short, _moments(L.space, res.state.matrix.diagonal(), mode)):
+        for a, b in zip(_moments(L.space, short, mode), _moments(L.space, res.state.matrix.diagonal(), mode)):
             if not (np.isfinite(b) and abs(a - b) <= SERIES_TOL * abs(b)):
                 return None
     return res

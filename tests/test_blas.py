@@ -48,6 +48,12 @@ def preset_params(delta=-2.0e5):
     )
 
 
+def full_past_order_ten():
+    """master_full at (4,4,8) on a row the series certifies only at K = 20 (its K = 8/10 gap is 3e-10)."""
+    p = preset_params(-267348.0).with_(gamma=218.0, g_omega=609.0, g_kappa=936.0, J=267348.0)
+    return _tier_liouvillian(p, (4, 4, 8), full=True)
+
+
 def preset_liouvillian(levels=(6, 6), delta=-2.0e5):
     """The effective model at the preset point, J = -Delta = 2e5: a row the series serves.
 
@@ -209,13 +215,19 @@ class TestSeriesBudget:
         assert [lib.get_num_threads() for lib in two_threads] == [2] * len(two_threads)
 
     # the sweep CSV must equal a fresh steady_state(L, "direct") bit for bit,
-    # whatever the caller's thread counts; the vacuum block's Sylvester
+    # whatever the caller's thread counts; the vacuum entry's Sylvester
     # denominator is exactly 0 here and must not warn. (12,12), the presets'
-    # gate rung, lies above DIRECT_LIMIT, where the series is tried too
+    # gate rung, lies above DIRECT_LIMIT, where the series is tried too, and
+    # so does master_full at (4,4,8): a master_krylov row at Delta = -J that
+    # the block-by-block series certifies at K = 20
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("levels", [(6, 6), (12, 12)], ids=["6-6", "12-12"])
-    def test_series_is_bit_identical_across_calls_and_thread_counts(self, two_threads, levels):
-        L = preset_liouvillian(levels)
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: preset_liouvillian((6, 6)), lambda: preset_liouvillian((12, 12)), lambda: full_past_order_ten()],
+        ids=["6-6", "12-12", "full-4-4-8"],
+    )
+    def test_series_is_bit_identical_across_calls_and_thread_counts(self, two_threads, build):
+        L = build()
         P, Q, _, _ = liouvillian._generator(L)
         assert P[0, 0] + Q[0, 0] == 0
         first, second = steady_state(L), steady_state(L)
@@ -261,8 +273,10 @@ class TestAboveDirectLimitBudget:
         assert threads() == [2] * len(two_threads)
 
     # the residual too: the generator and _finish run under the budget, so
-    # rows left to Krylov (master_full, and a (12,12) rung at Delta = +J that
-    # the series refuses) give the same result at any caller thread count
+    # rows left to Krylov (master_full at the default gamma = 0, whose
+    # undamped mechanics makes the photon-vacuum block singular, and a
+    # (12,12) rung at Delta = +J that the series refuses) give the same
+    # result at any caller thread count
     @pytest.mark.parametrize("full", [True, False], ids=["full-4-4-8", "12-12-refused"])
     def test_krylov_rows_are_bit_identical_across_calls_and_thread_counts(self, two_threads, full):
         if full:

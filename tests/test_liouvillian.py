@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -541,15 +542,17 @@ class TestBandedDirect:
 
 
 def graded_model(seed, dims):
-    """A random photon-graded Lindbladian: only the drive changes N = sum of occupations, by one.
+    """A random photon-graded Lindbladian: only the drive changes N = n_0 + n_1, by one.
 
     H is Hermitian: a random complex matrix on each N-sector plus a weak
     random coupling of neighbouring sectors (the drive). Each of the two
-    jumps is a random complex matrix from sector N + 1 to N.
+    lowering jumps is a random complex matrix from sector N + 1 to N. A
+    third mode stands for the mechanics: it is in every sector, and a third
+    jump, a random complex matrix on each sector, keeps N.
     """
     rng = np.random.default_rng(seed)
     s = make_space(dims)
-    N = sum(occupations(s, m) for m in range(s.n_modes))
+    N = sum(occupations(s, m) for m in range(min(2, s.n_modes)))
     step = N[:, None] - N[None, :]
 
     def rand():
@@ -557,6 +560,8 @@ def graded_model(seed, dims):
 
     h = 1e3 * rand() * (step == 0) + 2.0 * rand() * (step == 1)
     jumps = [OperatorMatrix(s, 30.0 * rand() * (step == -1)) for _ in range(2)]
+    if s.n_modes > 2:
+        jumps.append(OperatorMatrix(s, 3.0 * rand() * (step == 0)))
     return OperatorMatrix(s, h + h.conj().T), jumps
 
 
@@ -567,6 +572,12 @@ def dephased(L, gamma):
 
 def series(L):
     return liouvillian._steady_series(L, *liouvillian._generator(L))
+
+
+def budgeted_series(L):
+    """:func:`series` under the one-thread budget steady_state enters: (4,4,8)'s products are wide enough to thread."""
+    with blas.single_thread():
+        return series(L)
 
 
 def band(L):
@@ -603,7 +614,8 @@ class TestDriveOrderSeries:
         assert abs(mode_statistics(res.state, 0)[1] - g2_c) <= 1e-12 * g2_c
 
     def test_full_model_is_left_to_krylov(self):
-        # the displacement-modified cavity jump does not lower N by exactly one
+        # at the default gamma = 0 the mechanics is undamped: no jump keeps
+        # the photon number, and the photon-vacuum block is singular
         L = _tier_liouvillian(fig3_params(**PRESET), (4, 4, 8), full=True)
         assert L.dim > liouvillian.DIRECT_LIMIT
         P, Q, _, scale = liouvillian._generator(L)
@@ -685,6 +697,77 @@ class TestDriveOrderSeries:
         L = effective_liouvillian(fig3_params(**PRESET), convention="commutator")
         assert series(L) is None
         assert_same_result(steady_state(L, method="direct"), band(L))
+
+
+def refined_steady_state(L, steps=8):
+    """Reference: the trace-row system by dense LU in double, refined with long-double residuals.
+
+    The system is :func:`trace_row_reference`'s Kronecker assembly; each
+    step takes r = b - A x with A and x in long double and adds the LU's
+    solve of r to x, until the correction is below the long-double
+    rounding of x. Returns the hermitized, normalized state.
+    """
+    n = L.space.dim
+    A = trace_row_reference(L)
+    b = np.zeros(n * n, dtype=complex)
+    b[0] = 1.0
+    lu = sla.lu_factor(A)
+    x = sla.lu_solve(lu, b).astype(np.clongdouble)
+    wide = A.astype(np.clongdouble)
+    for _ in range(steps):
+        dx = sla.lu_solve(lu, (b - wide @ x).astype(complex))
+        x = x + dx
+        if np.abs(dx).max() <= np.finfo(np.longdouble).eps * np.abs(x).max():
+            break
+    rho = x.reshape(n, n, order="F").astype(complex)
+    return DensityMatrix(L.space, 0.5 * (rho + rho.conj().T)).normalized()
+
+
+class TestFullModelSeries:
+    """master_full rows through the photon-graded series: the mechanics rides in every photon sector."""
+
+    # the presets' couplings at (3,3,4): three baths and damping rates, three detunings
+    @pytest.mark.parametrize("delta", [-4.5e5, -1.0e5, 3.0e5])
+    @pytest.mark.parametrize("n_th, gamma", [(0.0, 300.0), (0.4, 100.0), (1.0, 50.0)])
+    def test_certified_rows_match_refined_reference(self, n_th, gamma, delta):
+        L = full_liouvillian(fig3_params(gamma=gamma, n_th=n_th, delta_c=delta, delta_e=delta), (3, 3, 4))
+        got = budgeted_series(L)
+        assert got is not None and got.residual <= liouvillian.SERIES_TOL
+        assert_same_result(steady_state(L), got)
+        ref = refined_steady_state(L)
+        for mode in range(3):
+            for value, want in zip(mode_statistics(got.state, mode), mode_statistics(ref, mode)):
+                assert abs(value - want) <= 1e-12 * abs(want)
+
+    # a master_krylov row (4,4,8) at Delta = -J whose K = 8/10 gap is 3e-10:
+    # the series goes on to K = 20, where the gap is under SERIES_TOL
+    K20 = dict(gamma=218.0, g_omega=609.0, g_kappa=936.0, J=267348.0, delta_c=-267348.0, delta_e=-267348.0)
+
+    def test_row_certified_past_order_ten_takes_the_series(self, monkeypatch):
+        L = full_liouvillian(fig3_params(**self.K20), (4, 4, 8))
+        assert L.dim > liouvillian.DIRECT_LIMIT
+        res = steady_state(L)
+        assert res.method == "direct" and res.residual <= liouvillian.SERIES_TOL
+        assert_same_result(res, budgeted_series(L))
+        monkeypatch.setattr(liouvillian, "SERIES_ORDER_CAP", liouvillian.SERIES_ORDER)
+        assert budgeted_series(L) is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # undamped mechanics: the photon-vacuum block is singular
+            fig3_params(gamma=0.0, delta_c=-1.0e5, delta_e=-1.0e5),
+            # gamma (2 n_th + 1) beside the cavity damping: the fixed point diverges
+            fig3_params(gamma=1000.0, n_th=2.0, delta_c=-1.0e5, delta_e=-1.0e5),
+        ],
+        ids=["gamma-0", "diverging-fixed-point"],
+    )
+    def test_refused_rows_take_the_band_lu_without_warnings(self, params):
+        L = full_liouvillian(params, (3, 3, 4))
+        P, Q, _, scale = liouvillian._generator(L)
+        assert liouvillian._series_sums(L, P, Q, scale) is None
+        assert_same_result(steady_state(L), band(L))
 
 
 class TestSteadyState:
